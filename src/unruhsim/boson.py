@@ -18,8 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_transpose
-from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_block_sum, from_spectrum
-from .states import AccelParam, Truncation, build_ghz, build_w
+from .measures import BIPARTITE, NegativityResult, TRIPARTITE, from_block_sum
+from .pipeline import (
+    DROP_FOR_PAIR,
+    HIDDEN_WEDGES,
+    MATRIX_DIM_CEILING,
+    PT_FACTOR,
+    STATES,
+    MatrixCeilingError,
+    evaluate_point,
+    rindler_ket,
+)
+from .states import AccelParam, Truncation
 
 __all__ = [
     "AR_ZERO",
@@ -47,20 +57,12 @@ __all__ = [
 #: block index: sinh(r) = 1, i.e. r = ln(1 + sqrt(2)).
 AR_ZERO = math.asinh(1.0)
 
-#: Reject truncations whose (A, I, I') matrix would exceed this dimension.
-MATRIX_DIM_CEILING = 512
-
 #: Reject adaptive series that have not converged by this block index.
 SERIES_INDEX_CEILING = 4096
 
 _SERIES_STEP = 4
 
-EIG_CLAMP_SCALE = 1e-12
 PSD_CLAMP = 1e-10
-
-_PT_FACTOR = {"A-RS": "A", "R-AS": "I", "S-AR": "I'", "RS": "I", "AR": "A", "AS": "A"}
-_DROP_FOR_PAIR = {"RS": "A", "AR": "I'", "AS": "I"}
-_STATES = ("ghz", "w")
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -71,10 +73,6 @@ class SeriesConvergenceError(RuntimeError):
         self.partial_sum = partial_sum
         self.tail_bound = tail_bound
         self.n_reached = n_reached
-
-
-class MatrixCeilingError(RuntimeError):
-    """Requested truncation needs a matrix above the dimension ceiling."""
 
 
 def _radius(r) -> float:
@@ -99,8 +97,8 @@ class BosonScenario:
 
     def __post_init__(self):
         state = str(self.state).lower()
-        if state not in _STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {_STATES}")
+        if state not in STATES:
+            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
         object.__setattr__(self, "state", state)
         for name in ("r1", "r2"):
             val = getattr(self, name)
@@ -113,21 +111,6 @@ class BosonScenario:
             object.__setattr__(self, "trunc", Truncation(n_max=int(self.trunc)))
 
 
-def _check_ceiling(n_max: int):
-    dim = 2 * (n_max + 2) ** 2
-    if dim > MATRIX_DIM_CEILING:
-        raise MatrixCeilingError(
-            f"n_max={n_max} needs matrix dimension {dim}, above the ceiling "
-            f"{MATRIX_DIM_CEILING}; raise boson.MATRIX_DIM_CEILING to at least {dim} to proceed"
-        )
-
-
-def _rindler_ket(s: BosonScenario):
-    _check_ceiling(s.trunc.n_max)
-    build = build_ghz if s.state == "ghz" else build_w
-    return build("boson", s.r1, s.r2, s.trunc)
-
-
 def rindler_density_truncated(s: BosonScenario, check_psd: bool = False) -> tuple[np.ndarray, SubsystemLayout]:
     """Truncated density matrix over (A, I, I'), dimension 2 (n_max+2)^2.
 
@@ -135,7 +118,7 @@ def rindler_density_truncated(s: BosonScenario, check_psd: bool = False) -> tupl
     weight (see :func:`truncation_trace_deficit` for its closed form).
     With ``check_psd`` the spectrum is verified to sit above -1e-10.
     """
-    rho, lay = ket_partial_trace(_rindler_ket(s), ("II", "II'"))
+    rho, lay = ket_partial_trace(rindler_ket("boson", s.state, s.r1, s.r2, s.trunc), HIDDEN_WEDGES)
     if check_psd:
         low = float(hermitian_eigenvalues(rho)[0])
         if low < -PSD_CLAMP:
@@ -147,7 +130,8 @@ def reduced_density(s: BosonScenario, pair: str) -> tuple[np.ndarray, SubsystemL
     """Bipartite reduction of the truncated state, traced from the ket."""
     if pair not in BIPARTITE:
         raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-    return ket_partial_trace(_rindler_ket(s), ("II", "II'", _DROP_FOR_PAIR[pair]))
+    ket = rindler_ket("boson", s.state, s.r1, s.r2, s.trunc)
+    return ket_partial_trace(ket, HIDDEN_WEDGES + (DROP_FOR_PAIR[pair],))
 
 
 def truncation_trace_deficit(s: BosonScenario) -> float:
@@ -177,22 +161,7 @@ def numeric_log_negativity(s: BosonScenario, quantity: str) -> NegativityResult:
     n_max = 1 gives the smallest nontrivial construction, an 18x18 matrix,
     trustworthy only at small accelerations.
     """
-    if quantity in TRIPARTITE:
-        rho, lay = rindler_density_truncated(s)
-    elif quantity in BIPARTITE:
-        rho, lay = reduced_density(s, quantity)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    pt = partial_transpose(rho, lay, _PT_FACTOR[quantity])
-    eigs = hermitian_eigenvalues(pt)
-    res = from_spectrum(eigs, clamp=EIG_CLAMP_SCALE * rho.shape[0])
-    tail = 1.0 - float(np.trace(rho).real)
-    return NegativityResult(
-        negativity_sum=res.negativity_sum,
-        log_negativity=res.log_negativity,
-        spectrum=res.spectrum,
-        tail_bound=max(tail, 0.0),
-    )
+    return evaluate_point("boson", s.state, s.r1, s.r2, (quantity,), s.trunc)[quantity]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +314,7 @@ def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float:
     trunc = trunc if trunc is not None else Truncation()
     s = BosonScenario("w", r1, r2, trunc)
     rho, lay = reduced_density(s, "RS")
-    pt = partial_transpose(rho, lay, "I")
+    pt = partial_transpose(rho, lay, PT_FACTOR["RS"])
     d = trunc.n_max + 2
     keep = [i * d + j for i in range(trunc.n_max + 1) for j in range(trunc.n_max + 1)]
     sub = pt[np.ix_(keep, keep)]

@@ -16,6 +16,7 @@ import sys
 from . import boson, diagnostics, fermion
 from .linalg import hermitian_eigenvalues, partial_transpose
 from .measures import BIPARTITE, QUANTITIES
+from .pipeline import evaluate_point
 from .states import PhysicalAccel, Truncation, U_MAX, accel_to_param
 
 __all__ = ["main"]
@@ -111,26 +112,28 @@ def _truncation(args) -> Truncation:
     return Truncation(n_max=args.nmax, series_tol=args.tol)
 
 
-def _evaluate(field: str, state: str, quantity: str, p1: float, p2: float, trunc: Truncation):
-    """Most accurate available route per quantity.
+def _evaluate(field: str, state: str, quantities, p1: float, p2: float, trunc: Truncation) -> dict:
+    """Most accurate available route per quantity, one traced state per point.
 
     Everything runs through the numeric partial-transpose pipeline,
     except the bosonic W AR/AS reductions: their per-block closed forms
     are exact (confirmed against the pipeline) and free of the spurious
     edge negativity a finite Fock cutoff leaves in the matrix route, so
-    the series route is used there.
+    the series route is used there.  The rest share one ket and one
+    wedge trace.
     """
-    if field == "fermion":
-        return fermion.numeric_log_negativity(fermion.FermionScenario(state, p1, p2), quantity)
-    if state == "w" and quantity in ("AR", "AS"):
-        return boson.series_log_negativity(state, quantity, p1, p2, trunc)
-    return boson.numeric_log_negativity(boson.BosonScenario(state, p1, p2, trunc), quantity)
+    series = ("AR", "AS") if field == "boson" and state == "w" else ()
+    out = {q: boson.series_log_negativity(state, q, p1, p2, trunc) for q in quantities if q in series}
+    numeric = [q for q in quantities if q not in series]
+    if numeric:
+        out.update(evaluate_point(field, state, p1, p2, numeric, trunc))
+    return out
 
 
 def cmd_point(args) -> int:
     p1, p2 = _resolve_params(args)
     trunc = _truncation(args)
-    res = _evaluate(args.field, args.state, args.quantity, p1, p2, trunc)
+    res = _evaluate(args.field, args.state, [args.quantity], p1, p2, trunc)[args.quantity]
     print(f"quantity: {args.quantity}")
     print(f"log-negativity: {_fmt(res.log_negativity)}")
     print(f"negativity: {_fmt(res.negativity_sum)}")
@@ -180,11 +183,8 @@ def cmd_sweep(args) -> int:
     rows = []
     for p1 in grid1:
         for p2 in grid2:
-            vals = [
-                _evaluate(args.field, args.state, q, p1, p2, trunc).log_negativity
-                for q in quantities
-            ]
-            rows.append((p1, p2, vals))
+            res = _evaluate(args.field, args.state, quantities, p1, p2, trunc)
+            rows.append((p1, p2, [res[q].log_negativity for q in quantities]))
     header = {
         "field": args.field,
         "state": args.state,
@@ -377,8 +377,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RuntimeError as exc:
-        # series non-convergence, matrix ceiling, cross-validation failure
+    except (RuntimeError, ArithmeticError) as exc:
+        # series non-convergence, matrix ceiling, cross-validation failure,
+        # and overflow or division by zero at extreme parameters
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

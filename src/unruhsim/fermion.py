@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_transpose
-from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_spectrum
-from .states import AccelParam, U_MAX, build_ghz, build_w
+from .measures import BIPARTITE, NegativityResult, TRIPARTITE
+from .pipeline import DROP_FOR_PAIR, HIDDEN_WEDGES, PT_FACTOR, STATES, evaluate_point, rindler_ket
+from .states import AccelParam, U_MAX
 
 __all__ = [
     "FermionScenario",
@@ -29,19 +30,6 @@ __all__ = [
     "rs_zero_curve",
     "rs_smallest_pt_eigenvalue",
 ]
-
-#: Eigenvalues within EIG_CLAMP_SCALE * dimension of zero are treated as
-#: zero before negativity summation, so roundoff cannot masquerade as
-#: entanglement.
-EIG_CLAMP_SCALE = 1e-12
-
-#: Factor whose indices get transposed for each quantity.
-_PT_FACTOR = {"A-RS": "A", "R-AS": "I", "S-AR": "I'", "RS": "I", "AR": "A", "AS": "A"}
-
-#: Factor traced out to form each bipartite reduction.
-_DROP_FOR_PAIR = {"RS": "A", "AR": "I'", "AS": "I"}
-
-_STATES = ("ghz", "w")
 
 
 def _angle(u) -> float:
@@ -65,8 +53,8 @@ class FermionScenario:
 
     def __post_init__(self):
         state = str(self.state).lower()
-        if state not in _STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {_STATES}")
+        if state not in STATES:
+            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
         object.__setattr__(self, "state", state)
         for name in ("u1", "u2"):
             val = getattr(self, name)
@@ -77,34 +65,22 @@ class FermionScenario:
             object.__setattr__(self, name, val)
 
 
-def _rindler_ket(s: FermionScenario):
-    build = build_ghz if s.state == "ghz" else build_w
-    return build("fermion", s.u1, s.u2)
-
-
 def rindler_density(s: FermionScenario) -> tuple[np.ndarray, SubsystemLayout]:
     """8x8 density matrix over (A, I, I') after tracing the hidden wedges."""
-    return ket_partial_trace(_rindler_ket(s), ("II", "II'"))
+    return ket_partial_trace(rindler_ket("fermion", s.state, s.u1, s.u2), HIDDEN_WEDGES)
 
 
 def reduced_density(s: FermionScenario, pair: str) -> tuple[np.ndarray, SubsystemLayout]:
     """4x4 bipartite reduction, tracing the complementary observer too."""
     if pair not in BIPARTITE:
         raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-    return ket_partial_trace(_rindler_ket(s), ("II", "II'", _DROP_FOR_PAIR[pair]))
+    ket = rindler_ket("fermion", s.state, s.u1, s.u2)
+    return ket_partial_trace(ket, HIDDEN_WEDGES + (DROP_FOR_PAIR[pair],))
 
 
 def numeric_log_negativity(s: FermionScenario, quantity: str) -> NegativityResult:
     """Partial-transpose eigensolve for any 1-vs-2 partition or pair."""
-    if quantity in TRIPARTITE:
-        rho, lay = rindler_density(s)
-    elif quantity in BIPARTITE:
-        rho, lay = reduced_density(s, quantity)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}; expected one of {QUANTITIES}")
-    pt = partial_transpose(rho, lay, _PT_FACTOR[quantity])
-    eigs = hermitian_eigenvalues(pt)
-    return from_spectrum(eigs, clamp=EIG_CLAMP_SCALE * rho.shape[0])
+    return evaluate_point("fermion", s.state, s.u1, s.u2, (quantity,))[quantity]
 
 
 def ghz_closed_negativity(partition: str, u1, u2) -> float:
@@ -184,5 +160,5 @@ def rs_smallest_pt_eigenvalue(u1, u2) -> float:
     """
     s = FermionScenario("w", _angle(u1), _angle(u2))
     rho, lay = reduced_density(s, "RS")
-    pt = partial_transpose(rho, lay, "I")
+    pt = partial_transpose(rho, lay, PT_FACTOR["RS"])
     return float(hermitian_eigenvalues(pt)[0])

@@ -3,10 +3,18 @@
 import json
 import math
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
-from unruhsim import fermion
+import pytest
+
+import unruhsim
+from unruhsim import fermion, linalg, states
 from unruhsim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, main
 from unruhsim.fermion import FermionScenario
+from unruhsim.measures import QUANTITIES
 from unruhsim.states import U_MAX
 
 
@@ -88,6 +96,70 @@ def test_point_ceiling_is_numeric_failure(capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_NUMERIC
     assert "ceiling" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "ghz", "--r1", "20", "--quantity", "R-AS", "--oracle"],
+        ["--state", "ghz", "--r1", "800", "--quantity", "A-RS"],
+        ["--state", "w", "--r1", "400", "--quantity", "AR"],
+    ],
+)
+def test_point_arithmetic_failure_is_numeric_failure(capsys, argv):
+    rc = run(["point", "--field", "boson"] + argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_NUMERIC
+    assert err.startswith("numeric failure: ")
+    assert "Traceback" not in err
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of ``fn`` through every loaded unruhsim module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "unruhsim" or name.startswith("unruhsim.")):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "field,state,quantities,axis,extra",
+    [
+        ("boson", "w", "A-RS,R-AS,S-AR,RS", "0:1.5:2", ["--nmax", "4"]),
+        ("boson", "ghz", ",".join(QUANTITIES), "0:1.5:2", ["--nmax", "4"]),
+        ("fermion", "w", ",".join(QUANTITIES), "0:0.7:3", []),
+        ("fermion", "ghz", ",".join(QUANTITIES), "0:0.7:3", []),
+    ],
+    ids=["boson-w", "boson-ghz", "fermion-w", "fermion-ghz"],
+)
+def test_sweep_traces_each_point_once(monkeypatch, tmp_path, field, state, quantities, axis, extra):
+    builds = count_calls(monkeypatch, states.build_ghz if state == "ghz" else states.build_w)
+    traces = count_calls(monkeypatch, linalg.ket_partial_trace)
+    rc = run(["sweep", "--field", field, "--state", state, "--quantities", quantities,
+              "--axis1", axis, "--axis2", axis, "--out", str(tmp_path / "o.csv")] + extra)
+    assert rc == EXIT_OK
+    points = int(axis.split(":")[2]) ** 2
+    assert len(builds) == points
+    assert len(traces) == points
+
+
+def test_cli_import_loads_numpy_only():
+    code = "import sys, unruhsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(unruhsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
+    pyproject = Path(src).parent / "pyproject.toml"
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject.read_text(encoding="utf-8"), re.M | re.S).group(1)
+    assert re.findall(r'"([^"]+)"', deps) == ["numpy>=1.24"]
 
 
 def test_sweep_rejects_bad_axis_and_quantities(tmp_path):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unruhsim import linalg
 from unruhsim.linalg import (
     IDENTITY_2,
     PAULI_X,
@@ -121,6 +124,21 @@ def test_ket_partial_trace_matches_outer_product_route():
     via_outer, lay_b = partial_trace(ket.density(), lay, ("II", "I'"))
     assert lay_a == lay_b
     assert np.allclose(direct, via_outer, atol=1e-14)
+    # five factors, real kets (float64 GEMM) and complex kets (complex GEMM),
+    # dropping adjacent, non-adjacent, interleaved and all factors
+    lay5 = SubsystemLayout.of(("A", 2), ("I", 3), ("II", 2), ("I'", 3), ("II'", 2))
+    drops = [("II", "II'"), ("A", "II'"), ("II'", "A"), ("I", "II", "I'"), "I'", lay5.labels]
+    for _ in range(3):
+        complex_ket = random_ket(rng, lay5)
+        real_amps = rng.standard_normal(lay5.dim)
+        real_ket = Ket(lay5, real_amps / np.linalg.norm(real_amps))
+        for k, dtype in ((complex_ket, np.complex128), (real_ket, np.float64)):
+            for drop in drops:
+                direct, lay_a = ket_partial_trace(k, drop)
+                via_outer, lay_b = partial_trace(k.density(), lay5, drop)
+                assert lay_a == lay_b
+                assert direct.dtype == dtype
+                assert np.max(np.abs(direct - via_outer)) < 1e-14
 
 
 def test_partial_transpose_leaves_diagonal_untouched():
@@ -182,6 +200,74 @@ def test_pt_spectrum_sums_to_trace():
     pt = partial_transpose(rho, lay, "A")
     assert abs(np.sum(hermitian_eigenvalues(rho)) - np.trace(rho).real) < 1e-10
     assert abs(np.sum(hermitian_eigenvalues(pt)) - np.trace(rho).real) < 1e-10
+
+
+def test_real_input_stays_real():
+    rng = np.random.default_rng(19)
+    lay = SubsystemLayout.of(("A", 2), ("I", 3), ("I'", 2))
+    m = rng.standard_normal((12, 12))
+    rho = m + m.T
+    assert partial_trace(rho, lay, "I")[0].dtype == np.float64
+    assert partial_transpose(rho, lay, "I'").dtype == np.float64
+    assert np.array_equal(partial_transpose(rho, lay, "A"), partial_transpose(rho.astype(complex), lay, "A").real)
+
+
+def planted_blocks(rng, sizes, zeros, real, density=1.0):
+    """Hermitian matrix of random blocks of the given sizes plus ``zeros``
+    all-zero rows and columns, under a random symmetric permutation.
+
+    Each block keeps its first off-diagonals, so it stays connected, and
+    each other entry with probability ``density``; a sparse block is a long
+    chain, which label propagation needs several rounds to cross.
+    """
+    n = sum(sizes) + zeros
+    m = np.zeros((n, n), dtype=float if real else complex)
+    start = 0
+    for size in sizes:
+        block = rng.standard_normal((size, size))
+        if not real:
+            block = block + 1j * rng.standard_normal((size, size))
+        keep = rng.random((size, size)) < density
+        keep |= np.abs(np.subtract.outer(np.arange(size), np.arange(size))) <= 1
+        block = np.where(keep | keep.T, block, 0.0)
+        m[start:start + size, start:start + size] = (block + block.conj().T) / 2
+        start += size
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 30), min_size=0, max_size=10),
+    zeros=st.integers(0, 4),
+    real=st.booleans(),
+    density=st.sampled_from([0.0, 0.2, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_eigenvalues_match_dense_on_planted_blocks(sizes, zeros, real, density, seed):
+    m = planted_blocks(np.random.default_rng(seed), sizes, zeros, real, density)
+    if m.shape[0] == 0:
+        return
+    dense = np.linalg.eigvalsh(m.astype(complex))
+    assert np.max(np.abs(linalg._block_eigenvalues(m) - dense)) < 1e-12
+    assert np.max(np.abs(hermitian_eigenvalues(m) - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_block_eigenvalues_edge_patterns(real):
+    rng = np.random.default_rng(31)
+    dim = linalg.DENSE_EIG_MAX_DIM + 9
+    # all-zero rows and columns only, one fully dense matrix, and a dense
+    # matrix with one all-zero row and column
+    dense = planted_blocks(rng, [dim], 0, real)
+    holed = planted_blocks(rng, [dim - 1], 1, real)
+    for m in (np.zeros((dim, dim)), dense, holed):
+        want = np.linalg.eigvalsh(m.astype(complex))
+        assert np.max(np.abs(hermitian_eigenvalues(m) - want)) < 1e-12
+        assert np.max(np.abs(linalg._block_eigenvalues(m) - want)) < 1e-12
+    labels = linalg._components(dense)
+    assert np.all(labels == 0)
+    assert len(set(linalg._components(holed))) == 2
 
 
 def test_density_matrices_are_psd():
