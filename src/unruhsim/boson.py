@@ -1,33 +1,30 @@
-"""Bosonic pipeline: truncated Fock-space density matrices, analytic
-block-negativity series, numeric tripartite W negativity, and
-convergence control.
+"""Bosonic reference forms: analytic block negativities, their adaptive
+series with certified tail bounds, and the truncation trace deficit.
 
-Density matrices are always rebuilt from the pure five-partite ket; the
-reference per-block closed forms are evaluated verbatim and checked
-against that numeric route by the diagnostics module.  Every
-result carries an honest truncation bound: the discarded Fock weight for
-matrix results, a certified geometric bound on the unsummed blocks for
-series results.
+The numeric route (ket, wedge trace, partial transpose, eigensolve) on
+the truncated Fock space is ``pipeline``; this module keeps the bosonic
+entry points to it.  The reference per-block closed forms are evaluated
+verbatim and checked against that numeric route by the diagnostics
+module.  Every result carries an honest truncation bound: the discarded
+Fock weight for matrix results, a certified geometric bound on the
+unsummed blocks for series results.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_transpose
-from .measures import BIPARTITE, NegativityResult, TRIPARTITE, from_block_sum
+from .linalg import SubsystemLayout, hermitian_eigenvalues
+from .measures import NegativityResult, TRIPARTITE, from_block_sum
 from .pipeline import (
-    DROP_FOR_PAIR,
-    HIDDEN_WEDGES,
     MATRIX_DIM_CEILING,
-    PT_FACTOR,
-    STATES,
     MatrixCeilingError,
+    Scenario,
     evaluate_point,
-    rindler_ket,
+    pair_partial_transpose,
+    reduced_density,
 )
 from .states import AccelParam, Truncation
 
@@ -76,39 +73,17 @@ class SeriesConvergenceError(RuntimeError):
 
 
 def _radius(r) -> float:
-    if isinstance(r, AccelParam):
-        if r.kind != "boson":
-            raise ValueError(f"expected a bosonic parameter, got kind {r.kind!r}")
-        return r.value
-    v = float(r)
-    if not (v >= 0.0 and math.isfinite(v)):
-        raise ValueError(f"bosonic parameter r={v!r} outside [0, inf)")
-    return v
+    return AccelParam.of("boson", r).value
 
 
-@dataclass(frozen=True)
-class BosonScenario:
-    """A GHZ or W state of bosonic modes with a Fock truncation."""
+class BosonScenario(Scenario):
+    """A bosonic :class:`~unruhsim.pipeline.Scenario`; ``r1``/``r2`` name its parameters."""
 
-    state: str
-    r1: AccelParam
-    r2: AccelParam
-    trunc: Truncation = Truncation()
+    def __init__(self, state: str, r1, r2, trunc: Truncation = Truncation()):
+        super().__init__("boson", state, r1, r2, trunc)
 
-    def __post_init__(self):
-        state = str(self.state).lower()
-        if state not in STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
-        object.__setattr__(self, "state", state)
-        for name in ("r1", "r2"):
-            val = getattr(self, name)
-            if not isinstance(val, AccelParam):
-                val = AccelParam.bosonic(float(val))
-            elif val.kind != "boson":
-                raise ValueError(f"{name} must be bosonic, got kind {val.kind!r}")
-            object.__setattr__(self, name, val)
-        if not isinstance(self.trunc, Truncation):
-            object.__setattr__(self, "trunc", Truncation(n_max=int(self.trunc)))
+    r1 = property(lambda self: self.p1)
+    r2 = property(lambda self: self.p2)
 
 
 def rindler_density_truncated(s: BosonScenario, check_psd: bool = False) -> tuple[np.ndarray, SubsystemLayout]:
@@ -118,20 +93,12 @@ def rindler_density_truncated(s: BosonScenario, check_psd: bool = False) -> tupl
     weight (see :func:`truncation_trace_deficit` for its closed form).
     With ``check_psd`` the spectrum is verified to sit above -1e-10.
     """
-    rho, lay = ket_partial_trace(rindler_ket("boson", s.state, s.r1, s.r2, s.trunc), HIDDEN_WEDGES)
+    rho, lay = reduced_density(s)
     if check_psd:
         low = float(hermitian_eigenvalues(rho)[0])
         if low < -PSD_CLAMP:
             raise RuntimeError(f"truncated density matrix has eigenvalue {low:.3e} below -{PSD_CLAMP:g}")
     return rho, lay
-
-
-def reduced_density(s: BosonScenario, pair: str) -> tuple[np.ndarray, SubsystemLayout]:
-    """Bipartite reduction of the truncated state, traced from the ket."""
-    if pair not in BIPARTITE:
-        raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-    ket = rindler_ket("boson", s.state, s.r1, s.r2, s.trunc)
-    return ket_partial_trace(ket, HIDDEN_WEDGES + (DROP_FOR_PAIR[pair],))
 
 
 def truncation_trace_deficit(s: BosonScenario) -> float:
@@ -142,8 +109,8 @@ def truncation_trace_deficit(s: BosonScenario) -> float:
     t = tanh^2(r) and M the cutoff.
     """
     m = s.trunc.n_max
-    t1 = math.tanh(s.r1.value) ** 2
-    t2 = math.tanh(s.r2.value) ** 2
+    t1 = math.tanh(s.p1.value) ** 2
+    t2 = math.tanh(s.p2.value) ** 2
     p0_1, p1_1 = _kept0(t1, m), _kept1(t1, m)
     p0_2, p1_2 = _kept0(t2, m), _kept1(t2, m)
     if s.state == "ghz":
@@ -161,7 +128,7 @@ def numeric_log_negativity(s: BosonScenario, quantity: str) -> NegativityResult:
     n_max = 1 gives the smallest nontrivial construction, an 18x18 matrix,
     trustworthy only at small accelerations.
     """
-    return evaluate_point("boson", s.state, s.r1, s.r2, (quantity,), s.trunc)[quantity]
+    return evaluate_point("boson", s.state, s.p1, s.p2, (quantity,), s.trunc)[quantity]
 
 
 # ---------------------------------------------------------------------------
@@ -311,14 +278,11 @@ def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float:
     untruncated partial transpose, so its smallest eigenvalue crosses
     zero where the residual RS entanglement actually dies.
     """
-    trunc = trunc if trunc is not None else Truncation()
     s = BosonScenario("w", r1, r2, trunc)
-    rho, lay = reduced_density(s, "RS")
-    pt = partial_transpose(rho, lay, PT_FACTOR["RS"])
-    d = trunc.n_max + 2
-    keep = [i * d + j for i in range(trunc.n_max + 1) for j in range(trunc.n_max + 1)]
-    sub = pt[np.ix_(keep, keep)]
-    return float(hermitian_eigenvalues(sub)[0])
+    pt = pair_partial_transpose(s, "RS")
+    n_max = s.trunc.n_max
+    keep = [i * (n_max + 2) + j for i in range(n_max + 1) for j in range(n_max + 1)]
+    return float(hermitian_eigenvalues(pt[np.ix_(keep, keep)])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -417,52 +381,40 @@ def _sum_rect(fn, n_lo: int, n_hi: int, m_lo: int, m_hi: int) -> float:
     return float(np.sum(fn(n, m)))
 
 
-def _series_2d(fn, bound_fn, trunc: Truncation) -> tuple[float, int, float | None]:
-    n = trunc.n_max
-    total = _sum_rect(fn, 0, n, 0, n)
-    last = None
-    if trunc.adaptive:
-        while True:
-            hi = n + _SERIES_STEP
-            if hi > SERIES_INDEX_CEILING:
-                raise SeriesConvergenceError(
-                    f"block series not converged by N={n}: partial sum {total:.9e}, "
-                    f"certified tail bound {bound_fn(n):.3e}",
-                    partial_sum=total,
-                    tail_bound=bound_fn(n),
-                    n_reached=n,
-                )
-            shell = _sum_rect(fn, n + 1, hi, 0, hi) + _sum_rect(fn, 0, n, n + 1, hi)
-            total += shell
-            n = hi
-            last = abs(shell)
-            if last < trunc.series_tol:
-                break
-    return total, n, last
+def _square_shell(fn):
+    """Shell sum of 2-D blocks fn(n, m): every block whose larger index lies in (lo, hi]."""
+    return lambda lo, hi: _sum_rect(fn, lo + 1, hi, 0, hi) + _sum_rect(fn, 0, lo, lo + 1, hi)
 
 
-def _series_1d(fn, bound_fn, trunc: Truncation) -> tuple[float, int, float | None]:
+def _series(shell, bound_fn, trunc: Truncation | None) -> NegativityResult:
+    """Sum a block series shell by shell, starting with the shell (-1, n_max].
+
+    ``shell(lo, hi)`` sums the blocks whose largest index lies in (lo, hi]
+    and ``bound_fn(n)`` bounds every block beyond index n.  When adaptive,
+    shells of width four are added until one contributes less than
+    series_tol in absolute value; the result reports the index reached, the
+    last shell and the certified bound there.
+    """
+    trunc = trunc if trunc is not None else Truncation()
     n = trunc.n_max
-    total = float(np.sum(fn(np.arange(0, n + 1, dtype=float))))
+    total = shell(-1, n)
     last = None
-    if trunc.adaptive:
-        while True:
-            hi = n + _SERIES_STEP
-            if hi > SERIES_INDEX_CEILING:
-                raise SeriesConvergenceError(
-                    f"block series not converged by N={n}: partial sum {total:.9e}, "
-                    f"certified tail bound {bound_fn(n):.3e}",
-                    partial_sum=total,
-                    tail_bound=bound_fn(n),
-                    n_reached=n,
-                )
-            shell = float(np.sum(fn(np.arange(n + 1, hi + 1, dtype=float))))
-            total += shell
-            n = hi
-            last = abs(shell)
-            if last < trunc.series_tol:
-                break
-    return total, n, last
+    while trunc.adaptive:
+        hi = n + _SERIES_STEP
+        if hi > SERIES_INDEX_CEILING:
+            raise SeriesConvergenceError(
+                f"block series not converged by N={n}: partial sum {total:.9e}, "
+                f"certified tail bound {bound_fn(n):.3e}",
+                partial_sum=total,
+                tail_bound=bound_fn(n),
+                n_reached=n,
+            )
+        part = shell(n, hi)
+        total += part
+        n, last = hi, abs(part)
+        if last < trunc.series_tol:
+            break
+    return from_block_sum([total], tail=bound_fn(n), n_reached=n, last_shell=last)
 
 
 def ghz_log_negativity_series(partition: str, r1, r2, trunc: Truncation | None = None) -> NegativityResult:
@@ -478,51 +430,30 @@ def ghz_log_negativity_series(partition: str, r1, r2, trunc: Truncation | None =
     r1, r2 = _radius(r1), _radius(r2)
     if partition not in TRIPARTITE:
         raise ValueError(f"unknown partition {partition!r}; expected one of {TRIPARTITE}")
-    trunc = trunc if trunc is not None else Truncation()
-    total, n, last = _series_2d(
-        lambda n_, m_: _ghz_blocks(partition, n_, m_, r1, r2),
+    return _series(
+        _square_shell(lambda n_, m_: _ghz_blocks(partition, n_, m_, r1, r2)),
         lambda n_: _ghz_series_tail_bound(partition, r1, r2, n_),
         trunc,
-    )
-    return from_block_sum(
-        [total],
-        tail=_ghz_series_tail_bound(partition, r1, r2, n),
-        n_reached=n,
-        last_shell=last,
     )
 
 
 def w_rs_log_negativity_series(r1, r2, trunc: Truncation | None = None) -> NegativityResult:
     """Sum the reference W RS block negativities (verbatim coefficients)."""
     r1, r2 = _radius(r1), _radius(r2)
-    trunc = trunc if trunc is not None else Truncation()
-    total, n, last = _series_2d(
-        lambda n_, m_: _w_rs_blocks(n_, m_, r1, r2),
+    return _series(
+        _square_shell(lambda n_, m_: _w_rs_blocks(n_, m_, r1, r2)),
         lambda n_: _w_rs_series_tail_bound(r1, r2, n_),
         trunc,
-    )
-    return from_block_sum(
-        [total],
-        tail=_w_rs_series_tail_bound(r1, r2, n),
-        n_reached=n,
-        last_shell=last,
     )
 
 
 def w_ar_log_negativity_series(r1, trunc: Truncation | None = None) -> NegativityResult:
     """Sum the W AR block negativities over n; identical in form for AS with r2."""
     r = _radius(r1)
-    trunc = trunc if trunc is not None else Truncation()
-    total, n, last = _series_1d(
-        lambda n_: _w_ar_blocks(n_, r),
+    return _series(
+        lambda lo, hi: float(np.sum(_w_ar_blocks(np.arange(lo + 1, hi + 1, dtype=float), r))),
         lambda n_: _w_ar_series_tail_bound(r, n_),
         trunc,
-    )
-    return from_block_sum(
-        [total],
-        tail=_w_ar_series_tail_bound(r, n),
-        n_reached=n,
-        last_shell=last,
     )
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import boson, diagnostics, fermion
-from .linalg import hermitian_eigenvalues, partial_transpose
+from .linalg import hermitian_eigenvalues
 from .measures import BIPARTITE, QUANTITIES
-from .pipeline import evaluate_point
-from .states import PhysicalAccel, Truncation, U_MAX, accel_to_param
+from .pipeline import Scenario, evaluate_point, pair_partial_transpose
+from .states import AccelParam, PhysicalAccel, Truncation, U_MAX, accel_to_param
 
 __all__ = ["main"]
 
@@ -69,14 +68,11 @@ def _parse_axis(text: str) -> tuple[float, float, int]:
 
 
 def _check_range(field: str, name: str, value: float) -> float:
-    if field == "fermion":
-        if not 0.0 <= value <= U_MAX:
-            raise UsageError(f"{name}={value!r} outside the fermionic range [0, pi/4) "
-                             f"(pi/4 = {U_MAX!r})")
-    else:
-        if not (value >= 0.0 and math.isfinite(value)):
-            raise UsageError(f"{name}={value!r} outside the bosonic range [0, inf)")
-    return value
+    """``value`` if it is a valid parameter of ``field``, else a usage error naming ``name``."""
+    try:
+        return AccelParam(field, value).value
+    except ValueError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _resolve_params(args) -> tuple[float, float]:
@@ -131,24 +127,31 @@ def _evaluate(field: str, state: str, quantities, p1: float, p2: float, trunc: T
 
 
 def cmd_point(args) -> int:
+    """Evaluate everything first, so a failed call prints nothing on stdout."""
     p1, p2 = _resolve_params(args)
     trunc = _truncation(args)
-    res = _evaluate(args.field, args.state, [args.quantity], p1, p2, trunc)[args.quantity]
-    print(f"quantity: {args.quantity}")
-    print(f"log-negativity: {_fmt(res.log_negativity)}")
-    print(f"negativity: {_fmt(res.negativity_sum)}")
-    print(f"tail-bound: {_fmt(res.tail_bound)}")
+    q = args.quantity
+    res = _evaluate(args.field, args.state, [q], p1, p2, trunc)[q]
+    lines = [
+        f"quantity: {q}",
+        f"log-negativity: {_fmt(res.log_negativity)}",
+        f"negativity: {_fmt(res.negativity_sum)}",
+        f"tail-bound: {_fmt(res.tail_bound)}",
+    ]
     if args.oracle:
+        # a series result carries no spectrum; the record then runs the matrix route
+        numeric = res if res.spectrum is not None else None
         if args.field == "fermion":
-            rec = diagnostics.fermion_record(args.state, args.quantity, p1, p2)
+            rec = diagnostics.fermion_record(args.state, q, p1, p2, numeric=numeric)
         else:
-            rec = diagnostics.boson_record(args.state, args.quantity, p1, p2, trunc)
+            rec = diagnostics.boson_record(args.state, q, p1, p2, trunc, numeric=numeric)
         if rec is None:
-            print("oracle-delta: n/a (no closed form for this quantity)")
+            lines.append("oracle-delta: n/a (no closed form for this quantity)")
         else:
-            print(f"oracle-delta: {_fmt(rec.delta)}")
+            lines.append(f"oracle-delta: {_fmt(rec.delta)}")
             if not rec.agrees:
-                print(f"oracle-note: {rec.describe()}")
+                lines.append(f"oracle-note: {rec.describe()}")
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -260,14 +263,9 @@ def _zero_curve_solver(field: str, state: str, pair: str, trunc: Truncation):
         hi = U_MAX
 
         def f_for(axis_value: float):
-            if pair == "RS":
-                return lambda x: fermion.rs_smallest_pt_eigenvalue(axis_value, x)
-
             def f(x: float) -> float:
                 u1, u2 = (x, axis_value) if pair == "AR" else (axis_value, x)
-                s = fermion.FermionScenario(state, u1, u2)
-                rho, lay = fermion.reduced_density(s, pair)
-                return float(hermitian_eigenvalues(partial_transpose(rho, lay, "A"))[0])
+                return float(hermitian_eigenvalues(pair_partial_transpose(Scenario("fermion", state, u1, u2), pair))[0])
 
             return f
 

@@ -8,13 +8,14 @@ values side by side so a disagreement is reported, never reconciled.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import boson, fermion
-from .measures import QUANTITIES
+from .measures import NegativityResult
 from .states import Truncation
 
-__all__ = ["OracleRecord", "fermion_record", "boson_record", "fermion_survey", "boson_survey"]
+__all__ = ["OracleRecord", "fermion_record", "boson_record"]
 
 FERMION_TOL = 1e-9
 BOSON_TOL_BASE = 1e-6
@@ -50,13 +51,23 @@ class OracleRecord:
         )
 
 
-def fermion_record(state: str, quantity: str, u1: float, u2: float, tol: float = FERMION_TOL) -> OracleRecord | None:
-    """Compare the reference fermionic closed form against the pipeline."""
+def fermion_record(
+    state: str,
+    quantity: str,
+    u1: float,
+    u2: float,
+    tol: float = FERMION_TOL,
+    numeric: NegativityResult | None = None,
+) -> OracleRecord | None:
+    """Compare the reference fermionic closed form against the pipeline.
+
+    ``numeric`` is the pipeline's result for this point when the caller
+    already holds it; otherwise the pipeline is run.
+    """
     closed = fermion.closed_log_negativity(state, quantity, u1, u2)
     if closed is None:
         return None
-    numeric = fermion.numeric_log_negativity(fermion.FermionScenario(state, u1, u2), quantity)
-    return OracleRecord("fermion", state, quantity, u1, u2, closed, numeric.log_negativity, tol)
+    return _record(fermion.FermionScenario(state, u1, u2), quantity, closed, 0.0, tol, numeric)
 
 
 def boson_record(
@@ -66,49 +77,26 @@ def boson_record(
     r2: float,
     trunc: Truncation | None = None,
     tol_base: float = BOSON_TOL_BASE,
+    numeric: NegativityResult | None = None,
 ) -> OracleRecord | None:
     """Compare the reference block series against the truncated-matrix pipeline.
 
     The series is summed over the same index square the matrix holds
     (adaptivity off), and the tolerance is tol_base plus the matrix trace
-    deficit, the honest truncation bound.
+    deficit, the honest truncation bound.  ``numeric`` is as for
+    :func:`fermion_record`.
     """
-    trunc = trunc if trunc is not None else Truncation()
-    matched = Truncation(n_max=trunc.n_max, series_tol=trunc.series_tol, adaptive=False)
-    closed = boson.series_log_negativity(state, quantity, r1, r2, matched)
+    s = boson.BosonScenario(state, r1, r2, trunc)
+    closed = boson.series_log_negativity(state, quantity, r1, r2, dataclasses.replace(s.trunc, adaptive=False))
     if closed is None:
         return None
-    scenario = boson.BosonScenario(state, r1, r2, trunc)
-    numeric = boson.numeric_log_negativity(scenario, quantity)
-    tol = tol_base + numeric.tail_bound + closed.tail_bound
-    return OracleRecord("boson", state, quantity, r1, r2, closed.log_negativity, numeric.log_negativity, tol)
+    return _record(s, quantity, closed.log_negativity, closed.tail_bound, tol_base, numeric)
 
 
-def fermion_survey(state: str, grid, quantities=QUANTITIES, tol: float = FERMION_TOL) -> list[OracleRecord]:
-    """All available fermionic comparisons over a parameter grid."""
-    out = []
-    for u1 in grid:
-        for u2 in grid:
-            for q in quantities:
-                rec = fermion_record(state, q, u1, u2, tol)
-                if rec is not None:
-                    out.append(rec)
-    return out
-
-
-def boson_survey(
-    state: str,
-    grid,
-    trunc: Truncation | None = None,
-    quantities=QUANTITIES,
-    tol_base: float = BOSON_TOL_BASE,
-) -> list[OracleRecord]:
-    """All available bosonic comparisons over a parameter grid."""
-    out = []
-    for r1 in grid:
-        for r2 in grid:
-            for q in quantities:
-                rec = boson_record(state, q, r1, r2, trunc, tol_base)
-                if rec is not None:
-                    out.append(rec)
-    return out
+def _record(s, quantity: str, closed: float, closed_tail: float, tol: float,
+            numeric: NegativityResult | None) -> OracleRecord:
+    """The record of scenario ``s``; its tolerance adds both routes' tail bounds to ``tol``."""
+    if numeric is None:
+        numeric = (fermion if s.field == "fermion" else boson).numeric_log_negativity(s, quantity)
+    return OracleRecord(s.field, s.state, quantity, s.p1.value, s.p2.value, closed, numeric.log_negativity,
+                        tol + numeric.tail_bound + closed_tail)

@@ -1,22 +1,20 @@
-"""Fermionic pipeline: wedge-traced GHZ/W density matrices, closed-form
-negativities, bipartite reductions, and the RS disentanglement curve.
+"""Fermionic reference forms: closed-form negativities of the GHZ
+partitions and W reductions, and the W RS disentanglement curve.
 
-The reference closed forms are kept verbatim.  The independent
-oracle is the numeric pipeline (ket, wedge trace, partial transpose,
-eigensolve); where the two disagree the comparison helpers in
-``diagnostics`` report both values, and nothing is reconciled silently.
+The numeric route (ket, wedge trace, partial transpose, eigensolve) is
+``pipeline``; this module keeps the fermionic entry points to it.  The
+reference closed forms are kept verbatim; where they disagree with the
+numeric route the comparison helpers in ``diagnostics`` report both
+values, and nothing is reconciled silently.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-import numpy as np
-
-from .linalg import SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_transpose
+from .linalg import hermitian_eigenvalues
 from .measures import BIPARTITE, NegativityResult, TRIPARTITE
-from .pipeline import DROP_FOR_PAIR, HIDDEN_WEDGES, PT_FACTOR, STATES, evaluate_point, rindler_ket
+from .pipeline import Scenario, evaluate_point, pair_partial_transpose, reduced_density
 from .states import AccelParam, U_MAX
 
 __all__ = [
@@ -33,54 +31,27 @@ __all__ = [
 
 
 def _angle(u) -> float:
-    if isinstance(u, AccelParam):
-        if u.kind != "fermion":
-            raise ValueError(f"expected a fermionic parameter, got kind {u.kind!r}")
-        return u.value
-    v = float(u)
-    if not 0.0 <= v <= U_MAX:
-        raise ValueError(f"fermionic parameter u={v!r} outside [0, pi/4)")
-    return v
+    return AccelParam.of("fermion", u).value
 
 
-@dataclass(frozen=True)
-class FermionScenario:
-    """A GHZ or W state shared with two accelerated observers."""
+class FermionScenario(Scenario):
+    """A fermionic :class:`~unruhsim.pipeline.Scenario`; ``u1``/``u2`` name its parameters."""
 
-    state: str
-    u1: AccelParam
-    u2: AccelParam
+    def __init__(self, state: str, u1, u2):
+        super().__init__("fermion", state, u1, u2)
 
-    def __post_init__(self):
-        state = str(self.state).lower()
-        if state not in STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
-        object.__setattr__(self, "state", state)
-        for name in ("u1", "u2"):
-            val = getattr(self, name)
-            if not isinstance(val, AccelParam):
-                val = AccelParam.fermionic(float(val))
-            elif val.kind != "fermion":
-                raise ValueError(f"{name} must be fermionic, got kind {val.kind!r}")
-            object.__setattr__(self, name, val)
+    u1 = property(lambda self: self.p1)
+    u2 = property(lambda self: self.p2)
 
 
-def rindler_density(s: FermionScenario) -> tuple[np.ndarray, SubsystemLayout]:
-    """8x8 density matrix over (A, I, I') after tracing the hidden wedges."""
-    return ket_partial_trace(rindler_ket("fermion", s.state, s.u1, s.u2), HIDDEN_WEDGES)
-
-
-def reduced_density(s: FermionScenario, pair: str) -> tuple[np.ndarray, SubsystemLayout]:
-    """4x4 bipartite reduction, tracing the complementary observer too."""
-    if pair not in BIPARTITE:
-        raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-    ket = rindler_ket("fermion", s.state, s.u1, s.u2)
-    return ket_partial_trace(ket, HIDDEN_WEDGES + (DROP_FOR_PAIR[pair],))
+#: 8x8 density matrix over (A, I, I') after tracing the hidden wedges;
+#: given a pair, its 4x4 reduction.
+rindler_density = reduced_density
 
 
 def numeric_log_negativity(s: FermionScenario, quantity: str) -> NegativityResult:
     """Partial-transpose eigensolve for any 1-vs-2 partition or pair."""
-    return evaluate_point("fermion", s.state, s.u1, s.u2, (quantity,))[quantity]
+    return evaluate_point("fermion", s.state, s.p1, s.p2, (quantity,))[quantity]
 
 
 def ghz_closed_negativity(partition: str, u1, u2) -> float:
@@ -158,7 +129,4 @@ def rs_smallest_pt_eigenvalue(u1, u2) -> float:
     Unlike the clamped negativity this crosses zero transversally, which
     is what the zero-curve bisection needs.
     """
-    s = FermionScenario("w", _angle(u1), _angle(u2))
-    rho, lay = reduced_density(s, "RS")
-    pt = partial_transpose(rho, lay, PT_FACTOR["RS"])
-    return float(hermitian_eigenvalues(pt)[0])
+    return float(hermitian_eigenvalues(pair_partial_transpose(FermionScenario("w", u1, u2), "RS"))[0])

@@ -58,11 +58,21 @@ class AccelParam:
         v = float(self.value)
         if self.kind == "fermion":
             if not 0.0 <= v <= U_MAX:
-                raise ValueError(f"fermionic parameter u={v!r} outside [0, pi/4)")
+                raise ValueError(f"fermionic parameter u={v!r} outside [0, pi/4) (pi/4 = {U_MAX!r})")
         else:
             if not (v >= 0.0 and math.isfinite(v)):
                 raise ValueError(f"bosonic parameter r={v!r} outside [0, inf)")
         object.__setattr__(self, "value", v)
+
+    @classmethod
+    def of(cls, kind: str, p) -> "AccelParam":
+        """``p`` as a parameter of ``kind``: an AccelParam must already be of
+        that kind, and anything else is range-checked as a plain number."""
+        if not isinstance(p, AccelParam):
+            return cls(kind, p)
+        if p.kind != kind:
+            raise ValueError(f"expected a {kind} parameter, got kind {p.kind!r}")
+        return p
 
     @classmethod
     def fermionic(cls, u: float) -> "AccelParam":

@@ -13,16 +13,15 @@ import math
 import numpy as np
 import pytest
 
-from unruhsim import boson, fermion
+from unruhsim import boson, fermion, pipeline
 from unruhsim.boson import BosonScenario
 from unruhsim.cli import main
 from unruhsim.fermion import FermionScenario
-from unruhsim.linalg import hermitian_eigenvalues, ket_partial_trace, partial_trace, partial_transpose
-from unruhsim.measures import BIPARTITE, TRIPARTITE, from_spectrum
-from unruhsim.states import AccelParam, Truncation, U_MAX, build_ghz, build_w
+from unruhsim.linalg import ket_partial_trace, partial_trace
+from unruhsim.measures import BIPARTITE, QUANTITIES, TRIPARTITE
+from unruhsim.pipeline import DROP_FOR_PAIR, HIDDEN_WEDGES
+from unruhsim.states import Truncation, U_MAX
 
-PT_FACTOR = {"A-RS": "A", "R-AS": "I", "S-AR": "I'", "RS": "I", "AR": "A", "AS": "A"}
-DROP_FOR_PAIR = {"RS": "A", "AR": "I'", "AS": "I"}
 CONTAINED_PAIRS = {"A-RS": ("AR", "AS"), "R-AS": ("AR", "RS"), "S-AR": ("AS", "RS")}
 
 W_TRIPARTITE_ORACLE = math.log2(1.0 + 2.0 * math.sqrt(2.0) / 3.0)
@@ -43,25 +42,17 @@ def report(num, name, ok, detail=""):
 
 
 def evaluate_point(field, state, p1, p2, trunc=None):
-    """Numeric values for all six quantities plus reduction diagnostics,
-    building the five-partite ket once."""
-    if field == "fermion":
-        build = build_ghz if state == "ghz" else build_w
-        ket = build("fermion", AccelParam.fermionic(p1), AccelParam.fermionic(p2))
-    else:
-        build = build_ghz if state == "ghz" else build_w
-        ket = build("boson", AccelParam.bosonic(p1), AccelParam.bosonic(p2), trunc)
-    rho, lay = ket_partial_trace(ket, ("II", "II'"))
-    clamp = 1e-12 * rho.shape[0]
-    out = {"deficit": max(1.0 - float(np.trace(rho).real), 0.0)}
-    for q in TRIPARTITE:
-        pt = partial_transpose(rho, lay, PT_FACTOR[q])
-        out[("num", q)] = from_spectrum(hermitian_eigenvalues(pt), clamp).log_negativity
+    """Numeric values for all six quantities from the shared evaluator, plus
+    the trace deficit of rho(A, I, I') and the largest off-diagonal entry of
+    each pair reduction, taken by partial trace of rho(A, I, I') as the
+    evaluator takes it."""
+    out = {("num", q): r.log_negativity
+           for q, r in pipeline.evaluate_point(field, state, p1, p2, QUANTITIES, trunc).items()}
+    rho, lay = ket_partial_trace(pipeline.rindler_ket(field, state, p1, p2, trunc), HIDDEN_WEDGES)
+    out["deficit"] = max(1.0 - float(np.trace(rho).real), 0.0)
     for pair in BIPARTITE:
-        red, rlay = partial_trace(rho, lay, DROP_FOR_PAIR[pair])
+        red, _ = partial_trace(rho, lay, DROP_FOR_PAIR[pair])
         out[("off", pair)] = float(np.max(np.abs(red - np.diag(np.diag(red)))))
-        pt = partial_transpose(red, rlay, PT_FACTOR[pair])
-        out[("num", pair)] = from_spectrum(hermitian_eigenvalues(pt), 1e-12 * red.shape[0]).log_negativity
     return out
 
 

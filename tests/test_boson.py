@@ -104,6 +104,30 @@ def test_series_non_convergence_raises_with_partial_sum():
         ghz_log_negativity_series("A-RS", 3.0, 3.0, trunc)
     assert info.value.partial_sum < 0.0
     assert info.value.n_reached == boson.SERIES_INDEX_CEILING
+    assert str(info.value) == (
+        "block series not converged by N=4096: partial sum -5.066969963e-03, certified tail bound 2.250e-18"
+    )
+    assert (info.value.partial_sum, info.value.tail_bound) == (-0.005066969962880518, 2.250210837493832e-18)
+
+
+#: Exact (log_negativity, n_reached, last_shell, tail_bound) of the adaptive
+#: series at a few points; any change to the shell bounds, the summation
+#: order or the stopping rule shows here.
+SERIES_PINS = [
+    ("A-RS", 0.3, 0.9, 4, 1e-8, (0.8924520407005094, 32, 6.180363900369247e-09, 1.646865466802691e-09)),
+    ("A-RS", 2.0, 1.6, 8, 1e-6, (0.1593817184842957, 148, 9.623051403158943e-07, 2.0625224301828006e-05)),
+    ("S-AR", 1.2, 0.5, 12, 1e-10, (0.6751996286766676, 68, 6.354320113843889e-11, 1.1194500197293825e-10)),
+    ("RS", 0.1, 0.15, 2, 1e-9, (0.45905743036904967, 6, 0.0, 6.901915599130532e-12)),
+    ("AR", 0.3, 0.9, 4, 1e-8, (0.400315111713317, 12, 6.378774075804081e-13, 3.2617784507881014e-15)),
+    ("AR", 0.88, 0.0, 12, 1e-300, (0.0009212321380612387, 980, 7.233442270703678e-302, 0.0)),
+]
+
+
+@pytest.mark.parametrize("quantity,r1,r2,n_max,tol,expected", SERIES_PINS)
+def test_adaptive_series_values_are_pinned(quantity, r1, r2, n_max, tol, expected):
+    state = "w" if quantity in ("RS", "AR") else "ghz"
+    res = boson.series_log_negativity(state, quantity, r1, r2, Truncation(n_max=n_max, series_tol=tol))
+    assert (res.log_negativity, res.n_reached, res.last_shell, res.tail_bound) == expected
 
 
 def test_w_rs_block_values():
@@ -185,7 +209,7 @@ def test_exact_series_match_numeric_within_tails():
 
 def test_w_rs_reference_series_flagged_against_oracle():
     """The reference RS block coefficients disagree with the pipeline away
-    from zero acceleration; the survey reports both values."""
+    from zero acceleration; the diagnostics record reports both values."""
     rec = diagnostics.boson_record("w", "RS", 0.4, 0.4, Truncation(n_max=10))
     assert not rec.agrees
     assert abs(rec.delta) > 1e-3

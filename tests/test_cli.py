@@ -1,5 +1,8 @@
 """Command-line interface: flags, formats, determinism, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
 import math
 import random
@@ -9,9 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import unruhsim
-from unruhsim import fermion, linalg, states
+from unruhsim import diagnostics, fermion, linalg, states
 from unruhsim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, main
 from unruhsim.fermion import FermionScenario
 from unruhsim.measures import QUANTITIES
@@ -108,10 +113,76 @@ def test_point_ceiling_is_numeric_failure(capsys):
 )
 def test_point_arithmetic_failure_is_numeric_failure(capsys, argv):
     rc = run(["point", "--field", "boson"] + argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert rc == EXIT_NUMERIC
     assert err.startswith("numeric failure: ")
     assert "Traceback" not in err
+    assert out == ""
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+#: Parameter values at and beyond the edges of both ranges.
+EDGE_PARAMS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -0.1, -1e3, U_MAX,
+                               math.nextafter(U_MAX, 1.0), U_MAX + 1e-9, 19.5, 20.0, 400.0, 1e3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from(("fermion", "boson")),
+    state=st.sampled_from(("ghz", "w")),
+    quantity=st.sampled_from(QUANTITIES),
+    nmax=st.integers(1, 4),
+    oracle=st.booleans(),
+    params=st.lists(st.none() | EDGE_PARAMS | st.floats(-10.0, 1e3), min_size=2, max_size=2),
+)
+def test_point_exit_code_contract(field, state, quantity, nmax, oracle, params):
+    """Exit 0 prints a finite, non-negative log-negativity; 2 and 3 print nothing on stdout."""
+    names = ("--u1", "--u2") if field == "fermion" else ("--r1", "--r2")
+    argv = ["point", "--field", field, "--state", state, "--quantity", quantity, "--nmax", str(nmax)]
+    argv += [f"{name}={value!r}" for name, value in zip(names, params) if value is not None]
+    if oracle:
+        argv.append("--oracle")
+    rc, out, err = run_captured(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_NUMERIC), (argv, rc, err)
+    assert "Traceback" not in err
+    if rc == EXIT_OK:
+        value = float(re.search(r"^log-negativity: (\S+)$", out, re.M).group(1))
+        assert math.isfinite(value) and value >= 0.0, (argv, out)
+    else:
+        assert out == "", (argv, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--field", "boson", "--state", "ghz", "--quantity", "A-RS", "--r1", "0.5", "--r2", "0.7"],
+        ["--field", "boson", "--state", "w", "--quantity", "RS", "--r1", "0.5", "--r2", "0.7"],
+        ["--field", "boson", "--state", "w", "--quantity", "AR", "--r1", "0.5", "--r2", "0.7"],
+        ["--field", "boson", "--state", "ghz", "--quantity", "S-AR", "--r1", "0", "--r2", "1"],
+        ["--field", "fermion", "--state", "w", "--quantity", "AR", "--u1", "0.5", "--u2", "0.7"],
+    ],
+    ids=["boson-ghz-A-RS", "boson-w-RS", "boson-w-AR", "boson-ghz-S-AR", "fermion-w-AR"],
+)
+def test_point_oracle_traces_once(monkeypatch, argv):
+    """--oracle reuses the point's numeric result; its lines match a fresh record."""
+    traces = count_calls(monkeypatch, linalg.ket_partial_trace)
+    rc, out, _ = run_captured(["point", "--nmax", "6"] + argv + ["--oracle"])
+    assert rc == EXIT_OK
+    assert len(traces) == 1
+    monkeypatch.undo()
+    field, state, quantity, p1, p2 = argv[1], argv[3], argv[5], float(argv[7]), float(argv[9])
+    if field == "fermion":
+        rec = diagnostics.fermion_record(state, quantity, p1, p2)
+    else:
+        rec = diagnostics.boson_record(state, quantity, p1, p2, states.Truncation(n_max=6))
+    want = [f"oracle-delta: {_fmt(rec.delta)}"] + ([] if rec.agrees else [f"oracle-note: {rec.describe()}"])
+    assert [line for line in out.splitlines() if line.startswith("oracle-")] == want
 
 
 def count_calls(monkeypatch, fn):
@@ -149,6 +220,21 @@ def test_sweep_traces_each_point_once(monkeypatch, tmp_path, field, state, quant
     points = int(axis.split(":")[2]) ** 2
     assert len(builds) == points
     assert len(traces) == points
+
+
+def test_bench_layers_exist_after_cli_import():
+    """Every function the benchmark's layer tracer wraps exists under its module and name."""
+    spans_path = Path(unruhsim.__file__).resolve().parents[2] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", spans_path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    code = ("import json, sys, unruhsim.cli; layers = json.loads(sys.argv[1]); "
+            "print(json.dumps([[m, n] for m, n in layers if not callable(getattr(sys.modules.get(m), n, None))]))")
+    layers = [[module, name] for _, module, names, _ in spans.LAYERS for name in names]
+    src = str(Path(unruhsim.__file__).resolve().parent.parent)
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(layers)], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert json.loads(out) == []
 
 
 def test_cli_import_loads_numpy_only():

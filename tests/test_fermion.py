@@ -155,7 +155,7 @@ def test_closed_forms_match_oracle_on_grid():
 
 def test_w_ar_as_closed_forms_carry_swapped_symbols():
     """The reference AR/AS expressions reproduce the pipeline only after
-    exchanging the two angles; the survey flags them, never patches them."""
+    exchanging the two angles; the diagnostics records flag them, never patch them."""
     flagged = 0
     for u1 in COARSE:
         for u2 in COARSE:

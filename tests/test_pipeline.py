@@ -7,13 +7,17 @@ taken by partial trace of rho(A, I, I') and the block eigensolve.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from unruhsim.boson import BosonScenario, ghz_block_negativity, w_ar_log_negativity_series
+from unruhsim.cli import EXIT_USAGE, main
+from unruhsim.fermion import FermionScenario, ghz_closed_negativity, rs_zero_curve
 from unruhsim.measures import QUANTITIES, TRIPARTITE, from_spectrum
 from unruhsim.pipeline import DROP_FOR_PAIR, EIG_CLAMP_SCALE, HIDDEN_WEDGES, PT_FACTOR, evaluate_point, rindler_ket
-from unruhsim.states import Truncation
+from unruhsim.states import U_MAX, Truncation
 
 #: Squeezing values; fermions get the wedge angle of the same acceleration,
 #: tan u = tanh r.
@@ -59,3 +63,50 @@ def test_evaluate_point_rejects_unknown_names():
         evaluate_point("fermion", "w", 0.1, 0.2, ("A-RS", "XY"))
     with pytest.raises(ValueError, match="state"):
         evaluate_point("fermion", "cluster", 0.1, 0.2, ("A-RS",))
+
+
+#: Every entry that takes a raw parameter, by field; each gets the bad value.
+RANGE_ENTRIES = {
+    "fermion": {
+        "FermionScenario": lambda v: FermionScenario("w", v, 0.1),
+        "ghz_closed_negativity": lambda v: ghz_closed_negativity("A-RS", v, 0.1),
+        "rs_zero_curve": rs_zero_curve,
+        "evaluate_point": lambda v: evaluate_point("fermion", "w", v, 0.1),
+        "cli point": lambda v: ["point", "--field", "fermion", "--state", "w", "--quantity", "RS", f"--u1={v!r}"],
+        "cli sweep": lambda v: ["sweep", "--field", "fermion", "--state", "w", "--quantities", "RS",
+                                f"--axis1=0:{v!r}:3", "--axis2=0:0.5:3"],
+        "cli zero-curve": lambda v: ["zero-curve", "--field", "fermion", "--state", "w", "--pair", "RS",
+                                     f"--axis=0:{v!r}:3"],
+    },
+    "boson": {
+        "BosonScenario": lambda v: BosonScenario("w", 0.1, v, Truncation(n_max=2)),
+        "ghz_block_negativity": lambda v: ghz_block_negativity("A-RS", 0, 0, v, 0.1),
+        "w_ar_log_negativity_series": w_ar_log_negativity_series,
+        "evaluate_point": lambda v: evaluate_point("boson", "w", 0.1, v, trunc=Truncation(n_max=2)),
+        "cli point": lambda v: ["point", "--field", "boson", "--state", "w", "--quantity", "RS", f"--r2={v!r}"],
+        "cli sweep": lambda v: ["sweep", "--field", "boson", "--state", "w", "--quantities", "RS",
+                                "--axis1=0:0.5:3", f"--axis2={v!r}:0.5:3"],
+        "cli zero-curve": lambda v: ["zero-curve", "--field", "boson", "--state", "w", "--pair", "RS",
+                                     f"--axis={v!r}:0.5:3"],
+    },
+}
+
+BAD_VALUES = {"fermion": (U_MAX + 1e-9,), "boson": (-0.1, math.nan)}
+
+
+@pytest.mark.parametrize(
+    "field,entry,value",
+    [(f, e, v) for f, entries in RANGE_ENTRIES.items() for e in entries for v in BAD_VALUES[f]],
+)
+def test_out_of_range_parameter_rejected_everywhere(capsys, tmp_path, field, entry, value):
+    """One range rule: every entry raises ValueError, or exits 2, naming the range."""
+    span = "[0, pi/4)" if field == "fermion" else "[0, inf)"
+    call = RANGE_ENTRIES[field][entry]
+    if entry.startswith("cli"):
+        argv = call(value)
+        rc = main(argv + (["--out", str(tmp_path / "o.csv")] if argv[0] != "point" else []))
+        assert rc == EXIT_USAGE
+        assert span in capsys.readouterr().err
+    else:
+        with pytest.raises(ValueError, match=re.escape(span)):
+            call(value)
