@@ -26,7 +26,7 @@ from .pipeline import (
     pair_partial_transpose,
     reduced_density,
 )
-from .states import AccelParam, Truncation
+from .states import _BRANCHES, AccelParam, Truncation
 
 __all__ = [
     "AR_ZERO",
@@ -106,18 +106,13 @@ def truncation_trace_deficit(s: BosonScenario) -> float:
 
     Per mode the vacuum branch keeps 1 - t^(M+1) of its weight and the
     one-particle branch 1 - (M+2) t^(M+1) + (M+1) t^(M+2), with
-    t = tanh^2(r) and M the cutoff.
+    t = tanh^2(r) and M the cutoff; the state's branches weigh them equally.
     """
     m = s.trunc.n_max
-    t1 = math.tanh(s.p1.value) ** 2
-    t2 = math.tanh(s.p2.value) ** 2
-    p0_1, p1_1 = _kept0(t1, m), _kept1(t1, m)
-    p0_2, p1_2 = _kept0(t2, m), _kept1(t2, m)
-    if s.state == "ghz":
-        trace = 0.5 * (p0_1 * p0_2 + p1_1 * p1_2)
-    else:
-        trace = (p0_1 * p0_2 + p1_1 * p0_2 + p0_1 * p1_2) / 3.0
-    return 1.0 - trace
+    t1, t2 = math.tanh(s.p1.value) ** 2, math.tanh(s.p2.value) ** 2
+    rob, steven = (_kept0(t1, m), _kept1(t1, m)), (_kept0(t2, m), _kept1(t2, m))
+    rows = _BRANCHES[s.state]
+    return 1.0 - sum(rob[i] * steven[j] for _, i, j in rows) / len(rows)
 
 
 def numeric_log_negativity(s: BosonScenario, quantity: str) -> NegativityResult:
@@ -141,20 +136,25 @@ def _hyper(r: float) -> tuple[float, float, float]:
 
 
 def _ratio(num, den: float):
-    """num/den with the zero-index convention 0/0 -> 0 and k/0 -> inf."""
+    """num/den, inf where it overflows, with the zero-index convention 0/0 -> 0 and k/0 -> inf."""
     num = np.asarray(num, dtype=float)
     if den > 0.0:
-        return num / den
+        with np.errstate(over="ignore"):
+            return num / den
     return np.where(num == 0.0, 0.0, np.inf)
 
 
 def _bracket(x, a):
-    """x - sqrt(x^2 + a), elementwise, with the x -> inf limit of 0."""
+    """x - sqrt(x^2 + a), elementwise, with the x -> inf limit of 0.
+
+    The limit is taken wherever x^2 overflows, even for a finite x.
+    """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = x - np.sqrt(x * x + a)
-    return np.where(np.isfinite(x), out, 0.0)
+        sq = x * x
+        out = x - np.sqrt(sq + a)
+    return np.where(np.isfinite(sq), out, 0.0)
 
 
 def _ghz_blocks(partition, n, m, r1: float, r2: float):
@@ -205,9 +205,11 @@ def _w_rs_blocks(n, m, r1: float, r2: float):
     b = 2.0 * tsq1 * tsq2 + (n + 1.0) * tsq2 / csq1 + (m + 1.0) * tsq1 / csq2
     q2 = 4.0 * (n + 1.0) * (m + 1.0) / (csq1 * csq2)
     with np.errstate(over="ignore", invalid="ignore"):
-        disc = (a + b) ** 2 - 4.0 * a * b + q2
+        sq = (a + b) ** 2
+        disc = sq - 4.0 * a * b + q2
         val = (a + b) - np.sqrt(disc)
-    val = np.where(np.isfinite(a + b), val, 0.0)
+    # where (a + b)^2 overflows, a dominates and the block clamps to 0
+    val = np.where(np.isfinite(sq), val, 0.0)
     return np.minimum(w * val, 0.0)
 
 
@@ -232,8 +234,9 @@ def _w_ar_brackets(n, r: float):
     tsq, csq, ssq = _hyper(r)
     x = 1.0 + _ratio(n, ssq) + tsq
     with np.errstate(over="ignore", invalid="ignore"):
-        val = x - np.sqrt(x * x - 4.0 * tsq + 4.0 / csq)
-    return np.where(np.isfinite(x), val, 0.0)
+        sq = x * x
+        val = x - np.sqrt(sq - 4.0 * tsq + 4.0 / csq)
+    return np.where(np.isfinite(sq), val, 0.0)
 
 
 def _w_ar_blocks(n, r: float):
@@ -395,7 +398,7 @@ def _series(shell, bound_fn, trunc: Truncation | None) -> NegativityResult:
     series_tol in absolute value; the result reports the index reached, the
     last shell and the certified bound there.
     """
-    trunc = trunc if trunc is not None else Truncation()
+    trunc = Truncation.of(trunc)
     n = trunc.n_max
     total = shell(-1, n)
     last = None

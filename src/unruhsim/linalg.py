@@ -1,9 +1,9 @@
 """Dense linear algebra over labeled tensor factors.
 
-Matrices are plain numpy arrays (float64 or complex128, row-major), and
-the traces and transposes keep a real input real.  The leftmost factor of
-a :class:`SubsystemLayout` owns the most significant index block, so
-``kron(a, b)`` realizes the layout ``(a-factor, b-factor)``.
+Kets and matrices are plain numpy arrays (float64 or complex128,
+row-major), and kets, traces and transposes keep a real input real.  The
+leftmost factor of a :class:`SubsystemLayout` owns the most significant
+index block, so ``kron(a, b)`` realizes the layout ``(a-factor, b-factor)``.
 All operations are pure functions of immutable inputs.
 """
 
@@ -96,7 +96,7 @@ class SubsystemLayout:
 
 @dataclass(frozen=True, eq=False)
 class Ket:
-    """State vector over a layout.
+    """State vector over a layout; real amplitudes stay float64.
 
     Truncated bosonic kets are deliberately not renormalized, so the
     squared norm may fall short of one by the truncation tail.
@@ -106,7 +106,7 @@ class Ket:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _inexact(self.amplitudes).reshape(-1)
         if amps.size != self.layout.dim:
             raise ValueError(
                 f"amplitude count {amps.size} does not match layout dimension {self.layout.dim}"
@@ -167,18 +167,15 @@ def ket_partial_trace(ket: Ket, drop) -> tuple[np.ndarray, SubsystemLayout]:
 
     Permutes the amplitudes into a (kept, dropped) matrix psi and returns
     the product psi psi^dagger, one GEMM, without forming the full outer
-    product.  Kets whose imaginary part is identically zero, which every
-    ket this package builds is, give a float64 matrix; others a complex one.
+    product.  A real ket, which every ket this package builds is, gives a
+    float64 matrix; a complex one a complex matrix.
     """
     names = (drop,) if isinstance(drop, str) else tuple(drop)
     lay = ket.layout
     gone = sorted({lay.axis(lab) for lab in names})
     kept = lay.drop(names)
-    amps = ket.amplitudes
-    if not amps.imag.any():
-        amps = amps.real
     order = [i for i in range(len(lay.dims)) if i not in gone] + gone
-    psi = amps.reshape(lay.dims).transpose(order).reshape(kept.dim, -1)
+    psi = ket.tensor().transpose(order).reshape(kept.dim, -1)
     return psi @ psi.conj().T, kept
 
 

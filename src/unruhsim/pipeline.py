@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import Ket, SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_trace, partial_transpose
 from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_spectrum
-from .states import AccelParam, Truncation, build_ghz, build_w
+from .states import _BRANCHES, AccelParam, Truncation, build_ghz, build_w
 
 __all__ = [
     "Scenario",
@@ -36,7 +36,7 @@ __all__ = [
     "evaluate_point",
 ]
 
-STATES = ("ghz", "w")
+STATES = tuple(_BRANCHES)
 
 #: Wedges no observer can reach, traced out of every ket.
 HIDDEN_WEDGES = ("II", "II'")
@@ -91,9 +91,7 @@ class Scenario:
         object.__setattr__(self, "state", state)
         object.__setattr__(self, "p1", AccelParam.of(self.field, self.p1))
         object.__setattr__(self, "p2", AccelParam.of(self.field, self.p2))
-        if not isinstance(self.trunc, Truncation):
-            trunc = Truncation() if self.trunc is None else Truncation(n_max=int(self.trunc))
-            object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "trunc", Truncation.of(self.trunc))
 
 
 def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None) -> Ket:
@@ -106,7 +104,7 @@ def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None)
         raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
     p1, p2 = AccelParam.of(field, p1), AccelParam.of(field, p2)
     if field == "boson":
-        trunc = trunc if trunc is not None else Truncation()
+        trunc = Truncation.of(trunc)
         _check_ceiling(trunc.n_max)
     build = build_ghz if state == "ghz" else build_w
     return build(field, p1, p2, trunc)

@@ -11,6 +11,7 @@ carries the labels II / II'.  Composite kets are ordered
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,23 @@ class Truncation:
     adaptive: bool = True
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        object.__setattr__(self, "n_max", _whole("n_max", self.n_max, 1))
         if not self.series_tol > 0.0:
             raise ValueError(f"series_tol must be > 0, got {self.series_tol!r}")
+
+    @classmethod
+    def of(cls, x) -> "Truncation":
+        """``x`` as a truncation: None is the default, an integer its n_max."""
+        if isinstance(x, Truncation):
+            return x
+        return cls() if x is None else cls(n_max=x)
+
+
+def _whole(name: str, n, low: int) -> int:
+    """``n`` as an int of at least ``low``; a non-integral ``n`` is a ValueError."""
+    if not isinstance(n, numbers.Integral) or n < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
+    return int(n)
 
 
 def accel_to_param(p: PhysicalAccel, stats: str) -> AccelParam:
@@ -135,10 +149,36 @@ def accel_to_param(p: PhysicalAccel, stats: str) -> AccelParam:
     return AccelParam.bosonic(math.atanh(x))
 
 
-def _check_occupation(occupation: int) -> int:
+#: Branches of each state, each (Alice's bit, Rob's occupation, Steven's
+#: occupation), summed with equal weight.
+_BRANCHES = {
+    "ghz": ((0, 0, 0), (1, 1, 1)),
+    "w": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+}
+
+
+def _mode(occupation: int, p: AccelParam, n_max: int) -> np.ndarray:
+    """Real d x d amplitudes of one Minkowski mode over (I, II): c_n on |n + occupation, n>.
+
+    Fermions stop at n = 1 by exclusion, so d = 2: the vacuum has
+    c = (cos u, sin u) and the particle c = (1,).  Bosons are cut at n_max
+    with d = n_max + 2, so the particle's edge term stays representable:
+    c_n = tanh^n r / cosh r and sqrt(n+1) tanh^n r / cosh^2 r.
+    """
     if occupation not in (0, 1):
         raise ValueError(f"occupation must be 0 or 1, got {occupation!r}")
-    return occupation
+    if p.kind == "fermion":
+        d = 2
+        c = (math.cos(p.value), math.sin(p.value)) if occupation == 0 else (1.0,)
+    else:
+        d = n_max + 2
+        t = math.tanh(p.value)
+        pref = 1.0 / math.cosh(p.value) ** (1 + occupation)
+        c = [pref * t**n * math.sqrt(n + 1) ** occupation for n in range(n_max + 1)]
+    amps = np.zeros((d, d))
+    n = np.arange(len(c))
+    amps[n + occupation, n] = c
+    return amps
 
 
 def fermion_mode_expansion(occupation: int, u: AccelParam) -> Ket:
@@ -147,16 +187,7 @@ def fermion_mode_expansion(occupation: int, u: AccelParam) -> Ket:
     |0>_M -> cos(u) |0,0> + sin(u) |1,1>;  |1>_M -> |1,0>.  Unit norm for
     every u.
     """
-    _check_occupation(occupation)
-    if u.kind != "fermion":
-        raise ValueError(f"expected a fermionic parameter, got kind {u.kind!r}")
-    amps = np.zeros(4, dtype=complex)
-    if occupation == 0:
-        amps[0] = math.cos(u.value)
-        amps[3] = math.sin(u.value)
-    else:
-        amps[2] = 1.0
-    return Ket(SubsystemLayout.of(("I", 2), ("II", 2)), amps)
+    return Ket(SubsystemLayout.of(("I", 2), ("II", 2)), _mode(occupation, AccelParam.of("fermion", u), 0))
 
 
 def boson_mode_expansion(occupation: int, r: AccelParam, cutoff) -> tuple[Ket, float]:
@@ -166,81 +197,45 @@ def boson_mode_expansion(occupation: int, r: AccelParam, cutoff) -> tuple[Ket, f
     |1>_M -> (1/cosh^2 r) sum_n tanh^n r sqrt(n+1) |n+1,n>
 
     Both wedge factors get dimension cutoff+2 so the edge term of the
-    one-particle branch stays representable.  The ket is not
-    renormalized; the returned tail is the discarded squared weight,
-    which for the geometric sums above has the closed forms
-    t^(cutoff+1) and (cutoff+2) t^(cutoff+1) - (cutoff+1) t^(cutoff+2)
+    one-particle branch stays representable; a cutoff of 0 is allowed.
+    The ket is not renormalized; the returned tail is the discarded
+    squared weight, which for the geometric sums above has the closed
+    forms t^(cutoff+1) and (cutoff+2) t^(cutoff+1) - (cutoff+1) t^(cutoff+2)
     with t = tanh^2 r.
     """
-    _check_occupation(occupation)
-    if r.kind != "boson":
-        raise ValueError(f"expected a bosonic parameter, got kind {r.kind!r}")
-    n_max = cutoff.n_max if isinstance(cutoff, Truncation) else int(cutoff)
-    if n_max < 0:
-        raise ValueError(f"cutoff must be >= 0, got {n_max}")
-    d = n_max + 2
+    r = AccelParam.of("boson", r)
+    n_max = cutoff.n_max if isinstance(cutoff, Truncation) else _whole("cutoff", cutoff, 0)
+    amps = _mode(occupation, r, n_max)
     t = math.tanh(r.value)
-    tsq = t * t
-    amps = np.zeros(d * d, dtype=complex)
-    if occupation == 0:
-        pref = 1.0 / math.cosh(r.value)
-        for n in range(n_max + 1):
-            amps[n * d + n] = pref * t**n
-        tail = tsq ** (n_max + 1)
-    else:
-        pref = 1.0 / math.cosh(r.value) ** 2
-        for n in range(n_max + 1):
-            amps[(n + 1) * d + n] = pref * t**n * math.sqrt(n + 1)
-        tail = (n_max + 2) * tsq ** (n_max + 1) - (n_max + 1) * tsq ** (n_max + 2)
-    return Ket(SubsystemLayout.of(("I", d), ("II", d)), amps), tail
+    tsq, m = t * t, n_max + 1
+    tail = tsq**m if occupation == 0 else (m + 1) * tsq**m - m * tsq ** (m + 1)
+    return Ket(SubsystemLayout.of(("I", n_max + 2), ("II", n_max + 2)), amps), tail
 
 
-def _expansions(stats, param1, param2, cutoff):
+def _build(state: str, stats: str, param1: AccelParam, param2: AccelParam, cutoff) -> Ket:
+    """The ket of one row of :data:`_BRANCHES`, each branch weighted 1/sqrt(row count)."""
+    _check_stats(stats)
     for p in (param1, param2):
         if p.kind != stats:
             raise ValueError(
                 f"mixed field statistics: parameter kind {p.kind!r} under {stats!r} state construction"
             )
-    if stats == "fermion":
-        modes = {
-            (occ, i): fermion_mode_expansion(occ, p).amplitudes
-            for occ in (0, 1)
-            for i, p in ((1, param1), (2, param2))
-        }
-        d = 2
-    else:
-        trunc = cutoff if cutoff is not None else Truncation()
-        n_max = trunc.n_max if isinstance(trunc, Truncation) else int(trunc)
-        modes = {
-            (occ, i): boson_mode_expansion(occ, p, n_max)[0].amplitudes
-            for occ in (0, 1)
-            for i, p in ((1, param1), (2, param2))
-        }
-        d = n_max + 2
+    n_max = Truncation.of(cutoff).n_max if stats == "boson" else 0
+    modes = [[_mode(occ, p, n_max) for occ in (0, 1)] for p in (param1, param2)]
+    d = modes[0][0].shape[0]
+    psi = np.zeros((2, d, d, d, d))
+    rows = _BRANCHES[state]
+    for alice, rob, steven in rows:
+        psi[alice] += np.multiply.outer(modes[0][rob], modes[1][steven])
     layout = SubsystemLayout.of(("A", 2), ("I", d), ("II", d), ("I'", d), ("II'", d))
-    alice0 = np.array([1.0, 0.0], dtype=complex)
-    alice1 = np.array([0.0, 1.0], dtype=complex)
-    return modes, layout, alice0, alice1
+    return Ket(layout, psi * (1.0 / math.sqrt(len(rows))))
 
 
 def build_ghz(stats: str, param1: AccelParam, param2: AccelParam, cutoff=None) -> Ket:
     """Five-partite GHZ ket (1/sqrt2)(|0>_A E0 E0 + |1>_A E1 E1) over (A, I, II, I', II')."""
-    _check_stats(stats)
-    modes, layout, a0, a1 = _expansions(stats, param1, param2, cutoff)
-    amps = (
-        np.kron(a0, np.kron(modes[(0, 1)], modes[(0, 2)]))
-        + np.kron(a1, np.kron(modes[(1, 1)], modes[(1, 2)]))
-    ) / math.sqrt(2.0)
-    return Ket(layout, amps)
+    return _build("ghz", stats, param1, param2, cutoff)
 
 
 def build_w(stats: str, param1: AccelParam, param2: AccelParam, cutoff=None) -> Ket:
     """Five-partite W ket (1/sqrt3)(|1>_A E0 E0 + |0>_A E1 E0 + |0>_A E0 E1)."""
-    _check_stats(stats)
-    modes, layout, a0, a1 = _expansions(stats, param1, param2, cutoff)
-    amps = (
-        np.kron(a1, np.kron(modes[(0, 1)], modes[(0, 2)]))
-        + np.kron(a0, np.kron(modes[(1, 1)], modes[(0, 2)]))
-        + np.kron(a0, np.kron(modes[(0, 1)], modes[(1, 2)]))
-    ) / math.sqrt(3.0)
-    return Ket(layout, amps)
+    return _build("w", stats, param1, param2, cutoff)

@@ -130,6 +130,26 @@ def test_adaptive_series_values_are_pinned(quantity, r1, r2, n_max, tol, expecte
     assert (res.log_negativity, res.n_reached, res.last_shell, res.tail_bound) == expected
 
 
+#: Squeezings whose square, or x^2 in a block bracket, underflows or overflows.
+TINY_R = (1e-300, 1e-160, 1e-100, 1e-82, 1e-77)
+
+SERIES_ROUTES = [("ghz", "A-RS"), ("ghz", "R-AS"), ("ghz", "S-AR"), ("w", "RS"), ("w", "AR"), ("w", "AS")]
+
+
+@pytest.mark.parametrize("state,quantity", SERIES_ROUTES)
+def test_series_at_tiny_r_equals_rest_value(state, quantity):
+    """A tiny positive r on either parameter is finite and equals r = 0 to 1e-12.
+
+    With the other parameter at 1e-20, sinh^2 r1 sinh^2 r2 is tiny as well.
+    """
+    for other in (0.0, 1e-20, 0.5):
+        for r in TINY_R:
+            for tiny, rest in (((r, other), (0.0, other)), ((other, r), (other, 0.0))):
+                got = boson.series_log_negativity(state, quantity, *tiny).log_negativity
+                want = boson.series_log_negativity(state, quantity, *rest).log_negativity
+                assert math.isfinite(got) and abs(got - want) < 1e-12, (state, quantity, tiny, got, want)
+
+
 def test_w_rs_block_values():
     assert abs(w_rs_block_negativity(0, 0, 0.0, 0.0) - W_BASE) < 1e-15
     assert w_rs_block_negativity(1, 0, 0.0, 0.5) == 0.0

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unruhsim
@@ -132,7 +132,20 @@ EDGE_PARAMS = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -0.1, -
                                math.nextafter(U_MAX, 1.0), U_MAX + 1e-9, 19.5, 20.0, 400.0, 1e3])
 
 
+#: Squeezings whose square, or x^2 in a block bracket, underflows or overflows.
+TINY_R = (1e-300, 1e-160, 1e-82, 1e-77)
+
+
+def tiny_r_examples(test):
+    """The W AS series and the GHZ S-AR oracle at a tiny r, always drawn."""
+    for r in TINY_R:
+        test = example(field="boson", state="w", quantity="AS", nmax=4, oracle=False, params=[None, r])(test)
+        test = example(field="boson", state="ghz", quantity="S-AR", nmax=4, oracle=True, params=[r, 0.5])(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
+@tiny_r_examples
 @given(
     field=st.sampled_from(("fermion", "boson")),
     state=st.sampled_from(("ghz", "w")),
@@ -156,6 +169,24 @@ def test_point_exit_code_contract(field, state, quantity, nmax, oracle, params):
         assert math.isfinite(value) and value >= 0.0, (argv, out)
     else:
         assert out == "", (argv, out, err)
+
+
+@pytest.mark.parametrize(
+    "argv,rest",
+    [
+        (["--state", "w", "--quantity", "AS", "--r2=1.2e-82"], ["--state", "w", "--quantity", "AS", "--r2=0"]),
+        (["--state", "ghz", "--quantity", "S-AR", "--r1=1e-150", "--r2=0.5", "--oracle"],
+         ["--state", "ghz", "--quantity", "S-AR", "--r1=0", "--r2=0.5", "--oracle"]),
+    ],
+)
+def test_point_tiny_r_prints_its_rest_value(argv, rest):
+    """A tiny positive r prints the values of r = 0, not nan or a numeric failure."""
+    rc, out, err = run_captured(["point", "--field", "boson"] + argv)
+    assert rc == EXIT_OK, err
+    _, want, _ = run_captured(["point", "--field", "boson"] + rest)
+    values = [line for line in out.splitlines() if not line.startswith("oracle-note")]
+    assert values == [line for line in want.splitlines() if not line.startswith("oracle-note")]
+    assert "nan" not in out
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import re
 import numpy as np
 import pytest
 
+from unruhsim import pipeline
 from unruhsim.boson import BosonScenario, ghz_block_negativity, w_ar_log_negativity_series
 from unruhsim.cli import EXIT_USAGE, main
 from unruhsim.fermion import FermionScenario, ghz_closed_negativity, rs_zero_curve
@@ -56,6 +57,31 @@ def test_pipeline_matches_dense_oracle(field, state, n_max):
                 assert np.max(np.abs(got - want)) < 1e-12, (field, state, n_max, p1, p2, q)
                 oracle = from_spectrum(want, clamp=EIG_CLAMP_SCALE * dim).log_negativity
                 assert abs(results[q].log_negativity - oracle) < 1e-12, (field, state, n_max, p1, p2, q)
+
+
+@pytest.mark.parametrize("field,state,n_max", [(f, s, n) for f, s, n in CASES if n in (None, 1, 12)])
+def test_real_amplitudes_from_ket_to_eigensolve(monkeypatch, field, state, n_max):
+    """The ket is float64 and so is every matrix the evaluator traces, transposes and solves."""
+    trunc = Truncation(n_max=n_max) if n_max is not None else None
+    assert rindler_ket(field, state, 0.3, 0.6, trunc).amplitudes.dtype == np.float64
+    seen = {}
+
+    def spy(name):
+        fn = getattr(pipeline, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            arrays = ([] if name == "ket_partial_trace" else [args[0]]) + [out[0] if isinstance(out, tuple) else out]
+            seen.setdefault(name, set()).update(a.dtype for a in arrays)
+            return out
+
+        return wrapped
+
+    names = ("ket_partial_trace", "partial_trace", "partial_transpose", "hermitian_eigenvalues")
+    for name in names:
+        monkeypatch.setattr(pipeline, name, spy(name))
+    evaluate_point(field, state, 0.3, 0.6, QUANTITIES, trunc)
+    assert seen == {name: {np.dtype(np.float64)} for name in names}
 
 
 def test_evaluate_point_rejects_unknown_names():

@@ -1,10 +1,12 @@
 """State construction: parameter maps, mode expansions, GHZ/W kets."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from unruhsim.boson import BosonScenario
 from unruhsim.states import (
     AccelParam,
     PhysicalAccel,
@@ -197,3 +199,103 @@ def test_truncation_validation():
         Truncation(n_max=0)
     with pytest.raises(ValueError, match="series_tol"):
         Truncation(series_tol=0.0)
+
+
+def test_truncation_rejects_non_integral_cutoff():
+    for bad in (2.5, 2.7, math.nan, "3"):
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            Truncation(n_max=bad)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        BosonScenario("w", 0.3, 0.4, 2.7)
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        boson_mode_expansion(0, AccelParam.bosonic(0.3), 2.5)
+    for good in (3, np.int64(3), np.int32(3)):
+        t = Truncation(n_max=good)
+        assert t.n_max == 3 and type(t.n_max) is int
+    assert BosonScenario("w", 0.3, 0.4, np.int64(2)).trunc.n_max == 2
+    ket, tail = boson_mode_expansion(1, AccelParam.bosonic(0.3), 0)
+    assert ket.layout.dims == (2, 2)
+    assert abs(tail - (2 * math.tanh(0.3) ** 2 - math.tanh(0.3) ** 4)) < 1e-15
+
+
+def test_truncation_of():
+    assert Truncation.of(None) == Truncation()
+    assert Truncation.of(5) == Truncation(n_max=5)
+    t = Truncation(n_max=7, series_tol=1e-3, adaptive=False)
+    assert Truncation.of(t) is t
+    with pytest.raises(ValueError, match="n_max"):
+        Truncation.of(1.5)
+
+
+# ---------------------------------------------------------------------------
+# independent ket oracle: the paper's expansions, entry by entry
+
+
+def ladder(coeffs, occupation):
+    """One accelerated mode, sum_n c_n |n + occupation, n>, as {(n_I, n_II): c_n}."""
+    return {(n + occupation, n): c for n, c in enumerate(coeffs)}
+
+
+def paper_coeffs(field, occupation, p, n_max):
+    """c_n of the paper's expansion; Pauli exclusion stops the fermionic series at n = 1."""
+    if field == "fermion":
+        return [math.cos(p), math.sin(p)] if occupation == 0 else [1.0]
+    if occupation == 0:
+        return [math.tanh(p) ** n / math.cosh(p) for n in range(n_max + 1)]
+    return [math.sqrt(n + 1) * math.tanh(p) ** n / math.cosh(p) ** 2 for n in range(n_max + 1)]
+
+
+#: (Alice's bit, Rob's occupation, Steven's occupation) of each branch.
+PAPER_BRANCHES = {
+    "ghz": [(0, 0, 0), (1, 1, 1)],
+    "w": [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+}
+
+
+def paper_ket(field, state, p1, p2, n_max, d):
+    """Five-factor tensor over (A, I, II, I', II'), filled one entry at a time."""
+    psi = np.zeros((2, d, d, d, d))
+    branches = PAPER_BRANCHES[state]
+    norm = 1.0 / math.sqrt(len(branches))
+    for alice, occ_rob, occ_steven in branches:
+        for (i, ii), c_rob in ladder(paper_coeffs(field, occ_rob, p1, n_max), occ_rob).items():
+            for (j, jj), c_steven in ladder(paper_coeffs(field, occ_steven, p2, n_max), occ_steven).items():
+                psi[alice, i, ii, j, jj] += norm * c_rob * c_steven
+    return psi
+
+
+ORACLE_CASES = [("fermion", None, (0.0, 0.3, U_MAX))] + [
+    ("boson", n_max, (0.0, 0.5, 3.0)) for n_max in (1, 4, 14)
+]
+
+
+@pytest.mark.parametrize("builder", [build_ghz, build_w])
+@pytest.mark.parametrize("field,n_max,params", ORACLE_CASES)
+def test_built_ket_matches_paper_expansion(builder, field, n_max, params):
+    state = "ghz" if builder is build_ghz else "w"
+    d = 2 if field == "fermion" else n_max + 2
+    for p1, p2 in itertools.product(params, params):
+        ket = builder(field, AccelParam(field, p1), AccelParam(field, p2), n_max)
+        assert ket.amplitudes.dtype == np.float64
+        assert ket.layout.dims == (2, d, d, d, d)
+        want = paper_ket(field, state, p1, p2, n_max, d)
+        assert np.max(np.abs(ket.tensor() - want)) < 1e-15, (field, state, n_max, p1, p2)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+def test_fermionic_ket_is_the_d2_ladder(state):
+    """Both fields put c_n on |n + occupation, n>; fermions are its d = 2 member.
+
+    Every nonzero entry of either ket sits where each wedge pair's
+    n_I - n_II is the occupation its branch gives that observer, and the
+    fermionic ket is the ladder with d = 2 and c = (cos u, sin u) or (1,).
+    """
+    builder = build_ghz if state == "ghz" else build_w
+    for field, n_max in (("fermion", None), ("boson", 3)):
+        t = builder(field, AccelParam(field, 0.5), AccelParam(field, 0.2), n_max).tensor()
+        for alice, i, ii, j, jj in np.argwhere(t != 0.0):
+            assert (alice, i - ii, j - jj) in PAPER_BRANCHES[state], (field, alice, i, ii, j, jj)
+    u1, u2 = 0.5, 0.2
+    fermion = builder("fermion", AccelParam.fermionic(u1), AccelParam.fermionic(u2))
+    assert fermion.layout.dims == (2, 2, 2, 2, 2)
+    assert np.max(np.abs(fermion.tensor() - paper_ket("fermion", state, u1, u2, None, 2))) < 1e-15
