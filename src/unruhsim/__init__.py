@@ -31,6 +31,7 @@ from .states import (
     build_ghz,
     build_w,
     fermion_mode_expansion,
+    traced_density,
 )
 from .fermion import FermionScenario
 from .boson import AR_ZERO, BosonScenario, SeriesConvergenceError
@@ -69,5 +70,6 @@ __all__ = [
     "kron",
     "partial_trace",
     "partial_transpose",
+    "traced_density",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Bosonic reference forms: analytic block negativities, their adaptive
 series with certified tail bounds, and the truncation trace deficit.
 
-The numeric route (ket, wedge trace, partial transpose, eigensolve) on
+The numeric route (traced state, partial transpose, eigensolve) on
 the truncated Fock space is ``pipeline``; this module keeps the bosonic
 entry points to it.  The reference per-block closed forms are evaluated
 verbatim and checked against that numeric route by the diagnostics

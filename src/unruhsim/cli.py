@@ -115,8 +115,7 @@ def _evaluate(field: str, state: str, quantities, p1: float, p2: float, trunc: T
     except the bosonic W AR/AS reductions: their per-block closed forms
     are exact (confirmed against the pipeline) and free of the spurious
     edge negativity a finite Fock cutoff leaves in the matrix route, so
-    the series route is used there.  The rest share one ket and one
-    wedge trace.
+    the series route is used there.  The rest share one traced state.
     """
     series = ("AR", "AS") if field == "boson" and state == "w" else ()
     out = {q: boson.series_log_negativity(state, q, p1, p2, trunc) for q in quantities if q in series}

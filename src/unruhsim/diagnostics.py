@@ -1,7 +1,7 @@
 """Closed-form versus numeric-pipeline comparisons.
 
 The reference closed forms are kept verbatim, defects included; the
-numeric route (ket, wedge trace, partial transpose, eigensolve) is the
+numeric route (traced state, partial transpose, eigensolve) is the
 ground truth.  These helpers put both
 values side by side so a disagreement is reported, never reconciled.
 """

@@ -1,7 +1,7 @@
 """Fermionic reference forms: closed-form negativities of the GHZ
 partitions and W reductions, and the W RS disentanglement curve.
 
-The numeric route (ket, wedge trace, partial transpose, eigensolve) is
+The numeric route (traced state, partial transpose, eigensolve) is
 ``pipeline``; this module keeps the fermionic entry points to it.  The
 reference closed forms are kept verbatim; where they disagree with the
 numeric route the comparison helpers in ``diagnostics`` report both

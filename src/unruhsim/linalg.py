@@ -224,26 +224,34 @@ def _components(m: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _block_eigenvalues(m: np.ndarray) -> np.ndarray:
+def _check_hermitian(asym: float, tol: float):
+    if asym > tol:
+        raise ValueError(f"matrix is not Hermitian within {tol:g}: max asymmetry {asym:.3e}")
+
+
+def _block_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, one stacked solve per block size.
 
     A zero entry couples nothing, so the spectrum is exactly the union of
     the spectra of the diagonal blocks the nonzero pattern splits into.
+    Every nonzero entry and its mirror fall in one block, so the largest
+    ``|B - B^dagger|`` over the gathered blocks, size-1 blocks included, is
+    that of the whole matrix; above ``tol`` it is a ValueError.
     """
     n = m.shape[0]
     _, comp, sizes = np.unique(_components(m), return_inverse=True, return_counts=True)
     size_of = sizes[comp]
     perm = np.argsort(size_of * n + comp, kind="stable")
     size_of = size_of[perm]
-    parts = []
+    stacks = []
     start = 0
     for size, count in zip(*np.unique(size_of, return_counts=True)):
         idx = perm[start:start + count].reshape(-1, size)
         start += count
-        if size == 1:
-            parts.append(m[idx[:, 0], idx[:, 0]].real)
-        else:
-            parts.append(np.linalg.eigvalsh(m[idx[:, :, None], idx[:, None, :]]).ravel())
+        stacks.append(m[idx[:, :, None], idx[:, None, :]])
+    asym = np.concatenate([(b - b.conj().swapaxes(1, 2)).ravel() for b in stacks])
+    _check_hermitian(float(np.max(np.abs(asym))), tol)
+    parts = [b[:, 0, 0].real if b.shape[1] == 1 else np.linalg.eigvalsh(b).ravel() for b in stacks]
     return np.sort(np.concatenate(parts))
 
 
@@ -251,15 +259,15 @@ def hermitian_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """All real eigenvalues of a Hermitian matrix, ascending.
 
     Rejects inputs whose max asymmetry ``|m - m^dagger|`` exceeds ``tol``.
-    Matrices above ``DENSE_EIG_MAX_DIM`` are split into the blocks of their
-    exact nonzero pattern first; real matrices are solved in real arithmetic.
+    Matrices up to ``DENSE_EIG_MAX_DIM`` are checked whole and solved by one
+    dense ``eigvalsh``; larger ones are split into the blocks of their exact
+    nonzero pattern first and checked block by block, which gives the same
+    maximum.  Real matrices are solved in real arithmetic.
     """
     m = _inexact(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol:g}: max asymmetry {asym:.3e}")
-    if m.shape[0] <= DENSE_EIG_MAX_DIM:
-        return np.linalg.eigvalsh(m)
-    return _block_eigenvalues(m)
+    if m.shape[0] > DENSE_EIG_MAX_DIM:
+        return _block_eigenvalues(m, tol)
+    _check_hermitian(float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0, tol)
+    return np.linalg.eigvalsh(m)

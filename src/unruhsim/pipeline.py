@@ -1,10 +1,12 @@
-"""The numeric route both fields share: ket, wedge trace, partial
-transpose, eigensolve.
+"""The numeric route both fields share: traced state, partial transpose,
+eigensolve.
 
-A parameter point is traced once.  Its five-partite ket is built and
-reduced over the hidden wedges to rho(A, I, I') a single time; each 1-vs-2
-partition is a partial transpose of that matrix, and each bipartite
-reduction is a partial trace of it.  Fermions are the d = 2 case of the
+A parameter point is traced once.  rho(A, I, I'), the state left once the
+hidden wedges are traced out, is built a single time straight from the
+branch table (:func:`states.traced_density`); each 1-vs-2 partition is a
+partial transpose of that matrix, and each bipartite reduction is a
+partial trace of it.  The five-partite ket (:func:`rindler_ket`) is kept
+as the oracle of that build.  Fermions are the d = 2 case of the
 same route.  This module owns the tables every caller uses to turn a
 quantity name into factors, and the one :class:`Scenario` record of both
 fields.
@@ -17,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_trace, partial_transpose
+from .linalg import Ket, SubsystemLayout, hermitian_eigenvalues, partial_trace, partial_transpose
 from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_spectrum
-from .states import _BRANCHES, AccelParam, Truncation, build_ghz, build_w
+from .states import _BRANCHES, AccelParam, Truncation, build_ghz, build_w, traced_density
 
 __all__ = [
     "Scenario",
@@ -94,35 +96,36 @@ class Scenario:
         object.__setattr__(self, "trunc", Truncation.of(self.trunc))
 
 
-def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None) -> Ket:
-    """Five-partite GHZ or W ket over (A, I, II, I', II').
-
-    ``p1`` and ``p2`` are :class:`AccelParam` values or plain numbers of
-    the field's kind; ``trunc`` applies to bosons only.
-    """
+def _checked(field: str, state: str, p1, p2, trunc) -> tuple[AccelParam, AccelParam, Truncation | None]:
+    """``(p1, p2, trunc)`` ready for a build: the state name and both
+    parameters checked, and for bosons the cutoff coerced and held under
+    the matrix ceiling."""
     if state not in STATES:
         raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
     p1, p2 = AccelParam.of(field, p1), AccelParam.of(field, p2)
     if field == "boson":
         trunc = Truncation.of(trunc)
         _check_ceiling(trunc.n_max)
+    return p1, p2, trunc
+
+
+def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None) -> Ket:
+    """Five-partite GHZ or W ket over (A, I, II, I', II').
+
+    ``p1`` and ``p2`` are :class:`AccelParam` values or plain numbers of
+    the field's kind; ``trunc`` applies to bosons only.  The numeric route
+    never builds it: it is the oracle for :func:`states.traced_density`.
+    """
     build = build_ghz if state == "ghz" else build_w
-    return build(field, p1, p2, trunc)
+    return build(field, *_checked(field, state, p1, p2, trunc))
 
 
 def reduced_density(s: Scenario, pair: str | None = None) -> tuple[np.ndarray, SubsystemLayout]:
-    """rho(A, I, I') or, given a pair, that pair's reduction, traced from the ket.
-
-    A pair is traced straight from the ket, dropping its third factor with
-    the hidden wedges; this is not bit-identical to a partial trace of
-    rho(A, I, I'), which :func:`evaluate_point` takes instead.
-    """
-    drop = HIDDEN_WEDGES
-    if pair is not None:
-        if pair not in BIPARTITE:
-            raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-        drop += (DROP_FOR_PAIR[pair],)
-    return ket_partial_trace(rindler_ket(s.field, s.state, s.p1, s.p2, s.trunc), drop)
+    """rho(A, I, I') or, given a pair, its partial trace to that pair, as :func:`evaluate_point` takes it."""
+    if pair is not None and pair not in BIPARTITE:
+        raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
+    rho, lay = traced_density(s.state, s.field, *_checked(s.field, s.state, s.p1, s.p2, s.trunc))
+    return (rho, lay) if pair is None else partial_trace(rho, lay, DROP_FOR_PAIR[pair])
 
 
 def pair_partial_transpose(s: Scenario, pair: str) -> np.ndarray:
@@ -135,14 +138,14 @@ def evaluate_point(field: str, state: str, p1, p2, quantities=QUANTITIES,
                    trunc: Truncation | None = None) -> dict[str, NegativityResult]:
     """Numeric negativity of each named quantity at one parameter point.
 
-    Builds and traces the ket once, whatever the quantities.  Bosonic
+    Builds rho(A, I, I') once, whatever the quantities.  Bosonic
     results carry the trace deficit of the matrix diagonalized as their
     tail bound; fermionic ones carry zero.
     """
     for q in quantities:
         if q not in QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
-    rho, lay = ket_partial_trace(rindler_ket(field, state, p1, p2, trunc), HIDDEN_WEDGES)
+    rho, lay = traced_density(state, field, *_checked(field, state, p1, p2, trunc))
     out = {}
     for q in quantities:
         m, m_lay = (rho, lay) if q in TRIPARTITE else partial_trace(rho, lay, DROP_FOR_PAIR[q])

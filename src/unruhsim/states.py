@@ -10,6 +10,7 @@ carries the labels II / II'.  Composite kets are ordered
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "boson_mode_expansion",
     "build_ghz",
     "build_w",
+    "traced_density",
 ]
 
 C_LIGHT = 299_792_458.0
@@ -158,27 +160,32 @@ _BRANCHES = {
 
 
 def _mode(occupation: int, p: AccelParam, n_max: int) -> np.ndarray:
-    """Real d x d amplitudes of one Minkowski mode over (I, II): c_n on |n + occupation, n>.
+    """Real amplitudes c_0 .. c_{d-1} of one Minkowski mode over (I, II), c_n on |n + occupation, n>.
 
-    Fermions stop at n = 1 by exclusion, so d = 2: the vacuum has
-    c = (cos u, sin u) and the particle c = (1,).  Bosons are cut at n_max
-    with d = n_max + 2, so the particle's edge term stays representable:
-    c_n = tanh^n r / cosh r and sqrt(n+1) tanh^n r / cosh^2 r.
+    Fermions have d = 2 and stop at n = 1 by exclusion: the vacuum has
+    c = (cos u, sin u) and the particle c = (1, 0).  Bosons have
+    d = n_max + 2, so the particle's edge term |n_max + 1, n_max> stays
+    representable, and are cut after n = n_max: c_n = tanh^n r sech r and
+    sqrt(n+1) tanh^n r sech^2 r, then 0.  At large r sech r is formed from
+    e^-r, so it underflows to 0 instead of overflowing; the lost weight then
+    shows as the trace deficit.
     """
     if occupation not in (0, 1):
         raise ValueError(f"occupation must be 0 or 1, got {occupation!r}")
     if p.kind == "fermion":
-        d = 2
-        c = (math.cos(p.value), math.sin(p.value)) if occupation == 0 else (1.0,)
-    else:
-        d = n_max + 2
-        t = math.tanh(p.value)
-        pref = 1.0 / math.cosh(p.value) ** (1 + occupation)
-        c = [pref * t**n * math.sqrt(n + 1) ** occupation for n in range(n_max + 1)]
-    amps = np.zeros((d, d))
-    n = np.arange(len(c))
-    amps[n + occupation, n] = c
-    return amps
+        return np.array((math.cos(p.value), math.sin(p.value)) if occupation == 0 else (1.0, 0.0))
+    r, k = p.value, 1 + occupation
+    # cosh^k r overflows from r ~ 355; from r = 350 on e^-2r < 1e-304, so
+    # sech r = 2 e^-r / (1 + e^-2r) is 2 e^-r in float, and it underflows
+    pref = 1.0 / math.cosh(r) ** k if r < 350.0 else (2.0 * math.exp(-r)) ** k
+    t = math.tanh(r)
+    return np.array([pref * t**n * math.sqrt(n + 1) ** occupation for n in range(n_max + 1)] + [0.0])
+
+
+def _ladder(occupation: int, c: np.ndarray) -> np.ndarray:
+    """d x d amplitudes over (I, II) with c_n at |n + occupation, n>; the c_n
+    pushed past the edge is always one of the zeros that end c."""
+    return np.diag(c[:len(c) - occupation], -occupation)
 
 
 def fermion_mode_expansion(occupation: int, u: AccelParam) -> Ket:
@@ -187,7 +194,8 @@ def fermion_mode_expansion(occupation: int, u: AccelParam) -> Ket:
     |0>_M -> cos(u) |0,0> + sin(u) |1,1>;  |1>_M -> |1,0>.  Unit norm for
     every u.
     """
-    return Ket(SubsystemLayout.of(("I", 2), ("II", 2)), _mode(occupation, AccelParam.of("fermion", u), 0))
+    c = _mode(occupation, AccelParam.of("fermion", u), 0)
+    return Ket(SubsystemLayout.of(("I", 2), ("II", 2)), _ladder(occupation, c))
 
 
 def boson_mode_expansion(occupation: int, r: AccelParam, cutoff) -> tuple[Ket, float]:
@@ -205,15 +213,18 @@ def boson_mode_expansion(occupation: int, r: AccelParam, cutoff) -> tuple[Ket, f
     """
     r = AccelParam.of("boson", r)
     n_max = cutoff.n_max if isinstance(cutoff, Truncation) else _whole("cutoff", cutoff, 0)
-    amps = _mode(occupation, r, n_max)
+    amps = _ladder(occupation, _mode(occupation, r, n_max))
     t = math.tanh(r.value)
     tsq, m = t * t, n_max + 1
     tail = tsq**m if occupation == 0 else (m + 1) * tsq**m - m * tsq ** (m + 1)
     return Ket(SubsystemLayout.of(("I", n_max + 2), ("II", n_max + 2)), amps), tail
 
 
-def _build(state: str, stats: str, param1: AccelParam, param2: AccelParam, cutoff) -> Ket:
-    """The ket of one row of :data:`_BRANCHES`, each branch weighted 1/sqrt(row count)."""
+def _modes(stats: str, param1: AccelParam, param2: AccelParam, cutoff) -> np.ndarray:
+    """Amplitudes ``[observer, occupation, n]`` of Rob's and Steven's modes (see :func:`_mode`).
+
+    Checks the statistics and that both parameters are of that kind.
+    """
     _check_stats(stats)
     for p in (param1, param2):
         if p.kind != stats:
@@ -221,12 +232,18 @@ def _build(state: str, stats: str, param1: AccelParam, param2: AccelParam, cutof
                 f"mixed field statistics: parameter kind {p.kind!r} under {stats!r} state construction"
             )
     n_max = Truncation.of(cutoff).n_max if stats == "boson" else 0
-    modes = [[_mode(occ, p, n_max) for occ in (0, 1)] for p in (param1, param2)]
-    d = modes[0][0].shape[0]
+    return np.array([[_mode(occ, p, n_max) for occ in (0, 1)] for p in (param1, param2)])
+
+
+def _build(state: str, stats: str, param1: AccelParam, param2: AccelParam, cutoff) -> Ket:
+    """The ket of one row of :data:`_BRANCHES`, each branch weighted 1/sqrt(row count)."""
+    modes = _modes(stats, param1, param2, cutoff)
+    d = modes.shape[-1]
+    ladders = [[_ladder(occ, c) for occ, c in enumerate(pair)] for pair in modes]
     psi = np.zeros((2, d, d, d, d))
     rows = _BRANCHES[state]
     for alice, rob, steven in rows:
-        psi[alice] += np.multiply.outer(modes[0][rob], modes[1][steven])
+        psi[alice] += np.multiply.outer(ladders[0][rob], ladders[1][steven])
     layout = SubsystemLayout.of(("A", 2), ("I", d), ("II", d), ("I'", d), ("II'", d))
     return Ket(layout, psi * (1.0 / math.sqrt(len(rows))))
 
@@ -239,3 +256,44 @@ def build_ghz(stats: str, param1: AccelParam, param2: AccelParam, cutoff=None) -
 def build_w(stats: str, param1: AccelParam, param2: AccelParam, cutoff=None) -> Ket:
     """Five-partite W ket (1/sqrt3)(|1>_A E0 E0 + |0>_A E1 E0 + |0>_A E0 E1)."""
     return _build("w", stats, param1, param2, cutoff)
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_index(state: str, d: int) -> np.ndarray:
+    """Flat index into rho(A, I, I') of (x_b, x_b') for every branch pair
+    b, b' of ``state`` and hidden pair (n, m), n, m < d.
+
+    x_b = (Alice's bit, n + Rob's occupation, m + Steven's occupation).
+    Where n + occupation reaches d the amplitude is one of the zeros that
+    end c (see :func:`_mode`), so that cell is clipped onto the edge, where
+    it adds 0.0.  Cached and read-only: it depends on the state and d alone,
+    and building it costs more than the fermionic trace it serves.
+    """
+    n = np.arange(d)
+    x = np.array([alice * d * d + np.minimum(n + rob, d - 1)[:, None] * d + np.minimum(n + steven, d - 1)
+                  for alice, rob, steven in _BRANCHES[state]])
+    index = (x[:, None] * (2 * d * d) + x[None, :]).ravel()
+    index.flags.writeable = False
+    return index
+
+
+def traced_density(state: str, stats: str, param1: AccelParam, param2: AccelParam,
+                   cutoff=None) -> tuple[np.ndarray, SubsystemLayout]:
+    """rho(A, I, I') of one row of :data:`_BRANCHES`, wedges II and II' traced out, without the ket.
+
+    At each hidden pair (n, m) of wedge II and II' occupations the ket is a
+    vector v_nm over (A, I, I') with one entry per branch b: the ket's
+    amplitude w_b = c_n c'_m / sqrt(row count) at x_b = (Alice's bit,
+    n + Rob's occupation, m + Steven's occupation).  So rho is
+    sum_nm v_nm v_nm^T, and one bincount adds every product w_b w_b' at
+    (x_b, x_b').  These are the terms of the ket's wedge trace, so the two
+    agree to roundoff and have the same exact zeros.
+    """
+    modes = _modes(stats, param1, param2, cutoff)
+    d = modes.shape[-1]
+    rows = _BRANCHES[state]
+    _, rob, steven = zip(*rows)
+    w = modes[0, rob, :, None] * modes[1, steven, None, :] * (1.0 / math.sqrt(len(rows)))
+    dim = 2 * d * d
+    rho = np.bincount(_pair_index(state, d), (w[:, None] * w[None, :]).ravel(), minlength=dim * dim)
+    return rho.reshape(dim, dim), SubsystemLayout.of(("A", 2), ("I", d), ("I'", d))

@@ -107,7 +107,7 @@ def test_point_ceiling_is_numeric_failure(capsys):
     "argv",
     [
         ["--state", "ghz", "--r1", "20", "--quantity", "R-AS", "--oracle"],
-        ["--state", "ghz", "--r1", "800", "--quantity", "A-RS"],
+        ["--state", "ghz", "--r1", "800", "--quantity", "A-RS", "--oracle"],
         ["--state", "w", "--r1", "400", "--quantity", "AR"],
     ],
 )
@@ -192,6 +192,23 @@ def test_point_tiny_r_prints_its_rest_value(argv, rest):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["--state", "w", "--r1", "800", "--quantity", "A-RS"],
+        ["--state", "w", "--r1", "400", "--r2", "0.3", "--quantity", "RS"],
+        ["--state", "ghz", "--r1", "800", "--quantity", "A-RS"],
+    ],
+)
+def test_point_large_r_on_matrix_route_is_finite(argv):
+    """sech r underflows instead of cosh r overflowing: finite values, the lost weight in the tail bound."""
+    rc, out, err = run_captured(["point", "--field", "boson"] + argv)
+    assert rc == EXIT_OK, err
+    values = dict(line.split(": ") for line in out.splitlines())
+    assert all(math.isfinite(float(values[key])) for key in ("log-negativity", "negativity", "tail-bound"))
+    assert 0.0 <= float(values["tail-bound"]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["--field", "boson", "--state", "ghz", "--quantity", "A-RS", "--r1", "0.5", "--r2", "0.7"],
         ["--field", "boson", "--state", "w", "--quantity", "RS", "--r1", "0.5", "--r2", "0.7"],
         ["--field", "boson", "--state", "w", "--quantity", "AR", "--r1", "0.5", "--r2", "0.7"],
@@ -202,10 +219,12 @@ def test_point_tiny_r_prints_its_rest_value(argv, rest):
 )
 def test_point_oracle_traces_once(monkeypatch, argv):
     """--oracle reuses the point's numeric result; its lines match a fresh record."""
-    traces = count_calls(monkeypatch, linalg.ket_partial_trace)
+    traced = count_calls(monkeypatch, states.traced_density)
+    kets = [count_calls(monkeypatch, fn) for fn in (states.build_ghz, states.build_w, linalg.ket_partial_trace)]
     rc, out, _ = run_captured(["point", "--nmax", "6"] + argv + ["--oracle"])
     assert rc == EXIT_OK
-    assert len(traces) == 1
+    assert len(traced) == 1
+    assert [len(calls) for calls in kets] == [0, 0, 0]
     monkeypatch.undo()
     field, state, quantity, p1, p2 = argv[1], argv[3], argv[5], float(argv[7]), float(argv[9])
     if field == "fermion":
@@ -243,14 +262,14 @@ def count_calls(monkeypatch, fn):
     ids=["boson-w", "boson-ghz", "fermion-w", "fermion-ghz"],
 )
 def test_sweep_traces_each_point_once(monkeypatch, tmp_path, field, state, quantities, axis, extra):
-    builds = count_calls(monkeypatch, states.build_ghz if state == "ghz" else states.build_w)
-    traces = count_calls(monkeypatch, linalg.ket_partial_trace)
+    traced = count_calls(monkeypatch, states.traced_density)
+    kets = [count_calls(monkeypatch, fn) for fn in (states.build_ghz, states.build_w, linalg.ket_partial_trace)]
     rc = run(["sweep", "--field", field, "--state", state, "--quantities", quantities,
               "--axis1", axis, "--axis2", axis, "--out", str(tmp_path / "o.csv")] + extra)
     assert rc == EXIT_OK
     points = int(axis.split(":")[2]) ** 2
-    assert len(builds) == points
-    assert len(traces) == points
+    assert len(traced) == points
+    assert [len(calls) for calls in kets] == [0, 0, 0]
 
 
 def test_bench_layers_exist_after_cli_import():

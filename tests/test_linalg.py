@@ -285,3 +285,25 @@ def test_ket_norm_and_shape_validation():
         Ket(lay, np.ones(3))
     ket = Ket(lay, np.array([1.0, 0.0, 0.0, 0.0]))
     assert ket.norm() == 1.0
+
+
+@pytest.mark.parametrize("defect", ["one-sided", "unequal-pair", "imaginary-diagonal"])
+def test_block_route_hermitian_check_rejects(defect):
+    """Above DENSE_EIG_MAX_DIM the check runs on the gathered blocks and
+    reports the whole-matrix max |m - m^dagger|."""
+    rng = np.random.default_rng(37)
+    m = planted_blocks(rng, [30, 25, 20, 5], 3, real=defect != "imaginary-diagonal")
+    assert m.shape[0] > linalg.DENSE_EIG_MAX_DIM
+    zero = np.flatnonzero(~m.any(axis=0))
+    if defect == "one-sided":
+        m[zero[0], 7] = 0.3
+    elif defect == "unequal-pair":
+        i, j = np.argwhere(np.triu(m, 1) != 0)[0]
+        m[i, j] += 0.25
+    else:
+        m[zero[0], zero[0]] = 1.0 + 0.2j
+    want = float(np.max(np.abs(m - m.conj().T)))
+    assert want > 0.1
+    for solve in (hermitian_eigenvalues, linalg._block_eigenvalues):
+        with pytest.raises(ValueError, match=f"max asymmetry {want:.3e}"):
+            solve(m)

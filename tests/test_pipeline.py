@@ -2,8 +2,9 @@
 
 The oracle builds each reduced matrix with ``np.tensordot`` on the complex
 ket, transposes it by explicit axis swaps and solves it with one dense
-``np.linalg.eigvalsh``; the pipeline uses the float64 GEMM trace, pairs
-taken by partial trace of rho(A, I, I') and the block eigensolve.
+``np.linalg.eigvalsh``; the pipeline builds rho(A, I, I') in float64 from
+the branch table, takes pairs by partial trace of it and uses the block
+eigensolve.
 """
 
 import math
@@ -61,7 +62,7 @@ def test_pipeline_matches_dense_oracle(field, state, n_max):
 
 @pytest.mark.parametrize("field,state,n_max", [(f, s, n) for f, s, n in CASES if n in (None, 1, 12)])
 def test_real_amplitudes_from_ket_to_eigensolve(monkeypatch, field, state, n_max):
-    """The ket is float64 and so is every matrix the evaluator traces, transposes and solves."""
+    """The ket is float64 and so is every matrix the evaluator builds, traces, transposes and solves."""
     trunc = Truncation(n_max=n_max) if n_max is not None else None
     assert rindler_ket(field, state, 0.3, 0.6, trunc).amplitudes.dtype == np.float64
     seen = {}
@@ -71,13 +72,13 @@ def test_real_amplitudes_from_ket_to_eigensolve(monkeypatch, field, state, n_max
 
         def wrapped(*args):
             out = fn(*args)
-            arrays = ([] if name == "ket_partial_trace" else [args[0]]) + [out[0] if isinstance(out, tuple) else out]
+            arrays = ([] if name == "traced_density" else [args[0]]) + [out[0] if isinstance(out, tuple) else out]
             seen.setdefault(name, set()).update(a.dtype for a in arrays)
             return out
 
         return wrapped
 
-    names = ("ket_partial_trace", "partial_trace", "partial_transpose", "hermitian_eigenvalues")
+    names = ("traced_density", "partial_trace", "partial_transpose", "hermitian_eigenvalues")
     for name in names:
         monkeypatch.setattr(pipeline, name, spy(name))
     evaluate_point(field, state, 0.3, 0.6, QUANTITIES, trunc)

@@ -17,7 +17,10 @@ from unruhsim.states import (
     build_ghz,
     build_w,
     fermion_mode_expansion,
+    traced_density,
 )
+from unruhsim.linalg import ket_partial_trace
+from unruhsim.pipeline import HIDDEN_WEDGES
 
 
 def test_accel_param_ranges():
@@ -299,3 +302,24 @@ def test_fermionic_ket_is_the_d2_ladder(state):
     fermion = builder("fermion", AccelParam.fermionic(u1), AccelParam.fermionic(u2))
     assert fermion.layout.dims == (2, 2, 2, 2, 2)
     assert np.max(np.abs(fermion.tensor() - paper_ket("fermion", state, u1, u2, None, 2))) < 1e-15
+
+
+#: Squeezing values of the traced-density oracle; fermions get the wedge
+#: angle of the same acceleration, tan u = tanh r.
+TRACED_RADII = (0.0, 1e-300, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+@pytest.mark.parametrize("field,n_max", [("fermion", None), ("boson", 1), ("boson", 4), ("boson", 14)])
+def test_traced_density_matches_ket_wedge_trace(field, n_max, state):
+    """rho(A, I, I') from the branch table equals the ket's wedge trace, exact zeros included."""
+    builder = build_ghz if state == "ghz" else build_w
+    params = TRACED_RADII if field == "boson" else tuple(math.atan(math.tanh(r)) for r in TRACED_RADII)
+    for p1, p2 in itertools.product(params, params):
+        a1, a2 = AccelParam(field, p1), AccelParam(field, p2)
+        rho, lay = traced_density(state, field, a1, a2, n_max)
+        want, want_lay = ket_partial_trace(builder(field, a1, a2, n_max), HIDDEN_WEDGES)
+        assert rho.dtype == np.float64
+        assert lay == want_lay
+        assert np.max(np.abs(rho - want)) < 1e-15, (field, state, n_max, p1, p2)
+        assert np.array_equal(rho != 0.0, want != 0.0), (field, state, n_max, p1, p2)
