@@ -7,15 +7,10 @@ from an independent numeric partial-transpose pipeline.
 """
 
 from .linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     Ket,
     SubsystemLayout,
     hermitian_eigenvalues,
     ket_partial_trace,
-    kron,
     partial_trace,
     partial_transpose,
 )
@@ -45,12 +40,8 @@ __all__ = [
     "BosonScenario",
     "C_LIGHT",
     "FermionScenario",
-    "IDENTITY_2",
     "Ket",
     "NegativityResult",
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
     "PhysicalAccel",
     "QUANTITIES",
     "SeriesConvergenceError",
@@ -67,7 +58,6 @@ __all__ = [
     "from_spectrum",
     "hermitian_eigenvalues",
     "ket_partial_trace",
-    "kron",
     "partial_trace",
     "partial_transpose",
     "traced_density",

@@ -16,17 +16,10 @@ import math
 
 import numpy as np
 
-from .linalg import SubsystemLayout, hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues, partial_transpose
 from .measures import NegativityResult, TRIPARTITE, from_block_sum
-from .pipeline import (
-    MATRIX_DIM_CEILING,
-    MatrixCeilingError,
-    Scenario,
-    evaluate_point,
-    pair_partial_transpose,
-    reduced_density,
-)
-from .states import _BRANCHES, AccelParam, Truncation
+from .pipeline import MATRIX_DIM_CEILING, MatrixCeilingError, Scenario, evaluate_point, reduced_density
+from .states import AccelParam, Truncation, _tail
 
 __all__ = [
     "AR_ZERO",
@@ -35,7 +28,6 @@ __all__ = [
     "BosonScenario",
     "MatrixCeilingError",
     "SeriesConvergenceError",
-    "rindler_density_truncated",
     "reduced_density",
     "numeric_log_negativity",
     "truncation_trace_deficit",
@@ -58,8 +50,6 @@ AR_ZERO = math.asinh(1.0)
 SERIES_INDEX_CEILING = 4096
 
 _SERIES_STEP = 4
-
-PSD_CLAMP = 1e-10
 
 
 class SeriesConvergenceError(RuntimeError):
@@ -86,41 +76,18 @@ class BosonScenario(Scenario):
     r2 = property(lambda self: self.p2)
 
 
-def rindler_density_truncated(s: BosonScenario, check_psd: bool = False) -> tuple[np.ndarray, SubsystemLayout]:
-    """Truncated density matrix over (A, I, I'), dimension 2 (n_max+2)^2.
-
-    Hermitian with trace 1 - tail, where the tail is the discarded Fock
-    weight (see :func:`truncation_trace_deficit` for its closed form).
-    With ``check_psd`` the spectrum is verified to sit above -1e-10.
-    """
-    rho, lay = reduced_density(s)
-    if check_psd:
-        low = float(hermitian_eigenvalues(rho)[0])
-        if low < -PSD_CLAMP:
-            raise RuntimeError(f"truncated density matrix has eigenvalue {low:.3e} below -{PSD_CLAMP:g}")
-    return rho, lay
-
-
 def truncation_trace_deficit(s: BosonScenario) -> float:
-    """Closed-form discarded Fock weight of the truncated state.
-
-    Per mode the vacuum branch keeps 1 - t^(M+1) of its weight and the
-    one-particle branch 1 - (M+2) t^(M+1) + (M+1) t^(M+2), with
-    t = tanh^2(r) and M the cutoff; the state's branches weigh them equally.
-    """
-    m = s.trunc.n_max
-    t1, t2 = math.tanh(s.p1.value) ** 2, math.tanh(s.p2.value) ** 2
-    rob, steven = (_kept0(t1, m), _kept1(t1, m)), (_kept0(t2, m), _kept1(t2, m))
-    rows = _BRANCHES[s.state]
-    return 1.0 - sum(rob[i] * steven[j] for _, i, j in rows) / len(rows)
+    """Closed-form discarded Fock weight of the truncated state, the trace
+    ``reduced_density(s)`` lacks (see :func:`states._tail`)."""
+    return _tail(s.state, s.p1, s.p2, s.trunc.n_max)
 
 
 def numeric_log_negativity(s: BosonScenario, quantity: str) -> NegativityResult:
     """Partial-transpose eigensolve on the truncated matrix.
 
-    The reported tail bound is the trace deficit of the matrix actually
-    diagonalized.  For the W 1-vs-2 partitions this is the only route;
-    n_max = 1 gives the smallest nontrivial construction, an 18x18 matrix,
+    The reported tail bound is :func:`truncation_trace_deficit`, the
+    weight the matrix lacks.  For the W 1-vs-2 partitions this is the
+    only route; n_max = 1 gives the smallest nontrivial construction, an 18x18 matrix,
     trustworthy only at small accelerations.
     """
     return evaluate_point("boson", s.state, s.p1, s.p2, (quantity,), s.trunc)[quantity]
@@ -282,7 +249,7 @@ def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float:
     zero where the residual RS entanglement actually dies.
     """
     s = BosonScenario("w", r1, r2, trunc)
-    pt = pair_partial_transpose(s, "RS")
+    pt = partial_transpose(*reduced_density(s, "RS"), "I")
     n_max = s.trunc.n_max
     keep = [i * (n_max + 2) + j for i in range(n_max + 1) for j in range(n_max + 1)]
     return float(hermitian_eigenvalues(pt[np.ix_(keep, keep)])[0])
@@ -290,16 +257,6 @@ def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float:
 
 # ---------------------------------------------------------------------------
 # series summation with certified geometric tail bounds
-
-
-def _kept0(t: float, upto: int) -> float:
-    """sum_{n<=upto} (1-t) t^n: kept weight of the vacuum branch."""
-    return 1.0 - t ** (upto + 1)
-
-
-def _kept1(t: float, upto: int) -> float:
-    """Kept weight of the one-particle branch."""
-    return 1.0 - (upto + 2) * t ** (upto + 1) + (upto + 1) * t ** (upto + 2)
 
 
 def _g0(t: float) -> float:

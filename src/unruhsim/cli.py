@@ -9,13 +9,13 @@ Exit codes: 0 success, 2 usage error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from . import boson, diagnostics, fermion
-from .linalg import hermitian_eigenvalues
 from .measures import BIPARTITE, QUANTITIES
-from .pipeline import Scenario, evaluate_point, pair_partial_transpose
+from .pipeline import evaluate_point
 from .states import AccelParam, PhysicalAccel, Truncation, U_MAX, accel_to_param
 
 __all__ = ["main"]
@@ -44,8 +44,6 @@ def _fmt(x: float) -> str:
 
 
 def _linspace(start: float, stop: float, steps: int) -> list[float]:
-    if steps < 2:
-        raise UsageError(f"steps must be >= 2, got {steps}")
     vals = [start + i * (stop - start) / (steps - 1) for i in range(steps)]
     vals[-1] = stop
     return vals
@@ -244,7 +242,7 @@ def _scan_and_bisect(f, lo: float, hi: float, floor: float = _ZERO_VALUE_TOL) ->
 
 
 def _zero_curve_solver(field: str, state: str, pair: str, trunc: Truncation):
-    """Root function, scan interval, and axis/solve variable names.
+    """Root at each axis value, and the axis/solve variable names.
 
     RS and AS solve the second parameter against the first; AR solves
     the first against the second.  Fermionic roots come from the
@@ -259,24 +257,27 @@ def _zero_curve_solver(field: str, state: str, pair: str, trunc: Truncation):
         axis_name, solve_name = name1, name2
 
     if field == "fermion":
-        hi = U_MAX
-
-        def f_for(axis_value: float):
-            def f(x: float) -> float:
+        def root_at(axis_value: float) -> float | None:
+            def smallest(x: float) -> float:
                 u1, u2 = (x, axis_value) if pair == "AR" else (axis_value, x)
-                return float(hermitian_eigenvalues(pair_partial_transpose(Scenario("fermion", state, u1, u2), pair))[0])
+                return evaluate_point("fermion", state, u1, u2, (pair,))[pair].spectrum[0]
 
-            return f
+            return _scan_and_bisect(smallest, 0.0, U_MAX)
+
+    elif pair == "RS":
+        def root_at(axis_value: float) -> float | None:
+            return _scan_and_bisect(lambda x: boson.rs_smallest_pt_eigenvalue(axis_value, x, trunc), 0.0, BOSON_SCAN_MAX)
 
     else:
-        hi = BOSON_SCAN_MAX
+        # the AR/AS brackets do not depend on the axis value: one root serves every row
+        @functools.cache
+        def root() -> float | None:
+            return _scan_and_bisect(lambda x: boson.w_ar_crossing_function(x, n_terms=trunc.n_max + 1), 0.0, BOSON_SCAN_MAX)
 
-        def f_for(axis_value: float):
-            if pair in ("AR", "AS"):
-                return lambda x: boson.w_ar_crossing_function(x, n_terms=trunc.n_max + 1)
-            return lambda x: boson.rs_smallest_pt_eigenvalue(axis_value, x, trunc)
+        def root_at(axis_value: float) -> float | None:
+            return root()
 
-    return f_for, hi, axis_name, solve_name
+    return root_at, axis_name, solve_name
 
 
 def cmd_zero_curve(args) -> int:
@@ -286,12 +287,12 @@ def cmd_zero_curve(args) -> int:
         raise UsageError("zero curves exist only for the W state bipartite reductions")
     start, stop, steps = _parse_axis(args.axis)
     trunc = _truncation(args)
-    f_for, hi, axis_name, solve_name = _zero_curve_solver(args.field, args.state, args.pair, trunc)
+    root_at, axis_name, solve_name = _zero_curve_solver(args.field, args.state, args.pair, trunc)
     _check_range(args.field, axis_name, start)
     _check_range(args.field, axis_name, stop)
     rows = []
     for p in _linspace(start, stop, steps):
-        root = _scan_and_bisect(f_for(p), 0.0, hi)
+        root = root_at(p)
         if root is not None and args.field == "fermion" and args.pair == "RS":
             analytic = fermion.rs_zero_curve(p)
             if analytic is None or abs(analytic - root) > 1e-8:

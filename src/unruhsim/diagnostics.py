@@ -82,8 +82,8 @@ def boson_record(
     """Compare the reference block series against the truncated-matrix pipeline.
 
     The series is summed over the same index square the matrix holds
-    (adaptivity off), and the tolerance is tol_base plus the matrix trace
-    deficit, the honest truncation bound.  ``numeric`` is as for
+    (adaptivity off), and the tolerance is tol_base plus the discarded
+    Fock weight, the honest truncation bound.  ``numeric`` is as for
     :func:`fermion_record`.
     """
     s = boson.BosonScenario(state, r1, r2, trunc)

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import math
 
-from .linalg import hermitian_eigenvalues
 from .measures import BIPARTITE, NegativityResult, TRIPARTITE
-from .pipeline import Scenario, evaluate_point, pair_partial_transpose, reduced_density
+from .pipeline import Scenario, evaluate_point, reduced_density
 from .states import AccelParam, U_MAX
 
 __all__ = [
     "FermionScenario",
-    "rindler_density",
     "reduced_density",
     "numeric_log_negativity",
     "ghz_closed_negativity",
@@ -42,11 +40,6 @@ class FermionScenario(Scenario):
 
     u1 = property(lambda self: self.p1)
     u2 = property(lambda self: self.p2)
-
-
-#: 8x8 density matrix over (A, I, I') after tracing the hidden wedges;
-#: given a pair, its 4x4 reduction.
-rindler_density = reduced_density
 
 
 def numeric_log_negativity(s: FermionScenario, quantity: str) -> NegativityResult:
@@ -129,4 +122,4 @@ def rs_smallest_pt_eigenvalue(u1, u2) -> float:
     Unlike the clamped negativity this crosses zero transversally, which
     is what the zero-curve bisection needs.
     """
-    return float(hermitian_eigenvalues(pair_partial_transpose(FermionScenario("w", u1, u2), "RS"))[0])
+    return evaluate_point("fermion", "w", u1, u2, ("RS",))["RS"].spectrum[0]

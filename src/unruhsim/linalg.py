@@ -3,7 +3,7 @@
 Kets and matrices are plain numpy arrays (float64 or complex128,
 row-major), and kets, traces and transposes keep a real input real.  The
 leftmost factor of a :class:`SubsystemLayout` owns the most significant
-index block, so ``kron(a, b)`` realizes the layout ``(a-factor, b-factor)``.
+index block, so ``np.kron(a, b)`` realizes the layout ``(a-factor, b-factor)``.
 All operations are pure functions of immutable inputs.
 """
 
@@ -14,30 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PAULI_X",
-    "PAULI_Y",
-    "PAULI_Z",
-    "IDENTITY_2",
-    "LABELS",
     "SubsystemLayout",
     "Ket",
-    "kron",
     "partial_trace",
     "ket_partial_trace",
     "partial_transpose",
     "hermitian_eigenvalues",
     "DENSE_EIG_MAX_DIM",
 ]
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-#: Alice plus the accessible / inaccessible Rindler wedges of the two
-#: accelerated observers (primed wedges belong to the second observer).
-LABELS = ("A", "I", "II", "I'", "II'")
-
 
 @dataclass(frozen=True)
 class SubsystemLayout:
@@ -121,11 +105,6 @@ class Ket:
 
     def density(self) -> np.ndarray:
         return np.outer(self.amplitudes, self.amplitudes.conj())
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the left operand most significant."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def _inexact(m) -> np.ndarray:

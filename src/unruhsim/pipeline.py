@@ -21,7 +21,7 @@ import numpy as np
 
 from .linalg import Ket, SubsystemLayout, hermitian_eigenvalues, partial_trace, partial_transpose
 from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_spectrum
-from .states import _BRANCHES, AccelParam, Truncation, build_ghz, build_w, traced_density
+from .states import _BRANCHES, AccelParam, Truncation, _tail, build_ghz, build_w, traced_density
 
 __all__ = [
     "Scenario",
@@ -34,7 +34,6 @@ __all__ = [
     "MatrixCeilingError",
     "rindler_ket",
     "reduced_density",
-    "pair_partial_transpose",
     "evaluate_point",
 ]
 
@@ -62,22 +61,32 @@ class MatrixCeilingError(RuntimeError):
     """Requested truncation needs a matrix above the dimension ceiling."""
 
 
-def _check_ceiling(n_max: int):
-    dim = 2 * (n_max + 2) ** 2
-    if dim > MATRIX_DIM_CEILING:
+def _check_ceiling(field: str, trunc: Truncation):
+    dim = 2 * (trunc.n_max + 2) ** 2
+    if field == "boson" and dim > MATRIX_DIM_CEILING:
         raise MatrixCeilingError(
-            f"n_max={n_max} needs matrix dimension {dim}, above the ceiling "
+            f"n_max={trunc.n_max} needs matrix dimension {dim}, above the ceiling "
             f"{MATRIX_DIM_CEILING}; raise unruhsim.pipeline.MATRIX_DIM_CEILING to at least {dim} to proceed"
         )
+
+
+def _checked(field: str, state: str, p1, p2, trunc) -> tuple[str, AccelParam, AccelParam, Truncation]:
+    """``(state, p1, p2, trunc)`` checked and coerced, for :class:`Scenario` and
+    :func:`evaluate_point` alike: the state name lower-cased and known, both
+    parameters :class:`AccelParam` of the field's kind, the truncation a
+    :class:`Truncation` (an int is its n_max, None the default)."""
+    name = str(state).lower()
+    if name not in STATES:
+        raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
+    return name, AccelParam.of(field, p1), AccelParam.of(field, p2), Truncation.of(trunc)
 
 
 @dataclass(frozen=True)
 class Scenario:
     """A GHZ or W state of one field shared with two accelerated observers.
 
-    ``p1``/``p2`` are coerced to :class:`AccelParam` of the field's kind
-    and ``trunc`` to a :class:`Truncation` (an int is its n_max, None the
-    default); the truncation applies to bosons only.
+    Checked and coerced by the same rules as :func:`evaluate_point`'s
+    arguments; the truncation applies to bosons only.
     """
 
     field: str
@@ -87,26 +96,9 @@ class Scenario:
     trunc: Truncation | int | None = None
 
     def __post_init__(self):
-        state = str(self.state).lower()
-        if state not in STATES:
-            raise ValueError(f"unknown state {self.state!r}; expected one of {STATES}")
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "p1", AccelParam.of(self.field, self.p1))
-        object.__setattr__(self, "p2", AccelParam.of(self.field, self.p2))
-        object.__setattr__(self, "trunc", Truncation.of(self.trunc))
-
-
-def _checked(field: str, state: str, p1, p2, trunc) -> tuple[AccelParam, AccelParam, Truncation | None]:
-    """``(p1, p2, trunc)`` ready for a build: the state name and both
-    parameters checked, and for bosons the cutoff coerced and held under
-    the matrix ceiling."""
-    if state not in STATES:
-        raise ValueError(f"unknown state {state!r}; expected one of {STATES}")
-    p1, p2 = AccelParam.of(field, p1), AccelParam.of(field, p2)
-    if field == "boson":
-        trunc = Truncation.of(trunc)
-        _check_ceiling(trunc.n_max)
-    return p1, p2, trunc
+        checked = _checked(self.field, self.state, self.p1, self.p2, self.trunc)
+        for name, value in zip(("state", "p1", "p2", "trunc"), checked):
+            object.__setattr__(self, name, value)
 
 
 def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None) -> Ket:
@@ -116,42 +108,40 @@ def rindler_ket(field: str, state: str, p1, p2, trunc: Truncation | None = None)
     the field's kind; ``trunc`` applies to bosons only.  The numeric route
     never builds it: it is the oracle for :func:`states.traced_density`.
     """
-    build = build_ghz if state == "ghz" else build_w
-    return build(field, *_checked(field, state, p1, p2, trunc))
+    state, p1, p2, trunc = _checked(field, state, p1, p2, trunc)
+    _check_ceiling(field, trunc)
+    return (build_ghz if state == "ghz" else build_w)(field, p1, p2, trunc)
 
 
 def reduced_density(s: Scenario, pair: str | None = None) -> tuple[np.ndarray, SubsystemLayout]:
     """rho(A, I, I') or, given a pair, its partial trace to that pair, as :func:`evaluate_point` takes it."""
     if pair is not None and pair not in BIPARTITE:
         raise ValueError(f"unknown pair {pair!r}; expected one of {BIPARTITE}")
-    rho, lay = traced_density(s.state, s.field, *_checked(s.field, s.state, s.p1, s.p2, s.trunc))
+    _check_ceiling(s.field, s.trunc)
+    rho, lay = traced_density(s.state, s.field, s.p1, s.p2, s.trunc)
     return (rho, lay) if pair is None else partial_trace(rho, lay, DROP_FOR_PAIR[pair])
-
-
-def pair_partial_transpose(s: Scenario, pair: str) -> np.ndarray:
-    """Partial transpose of one pair's reduction (see :func:`reduced_density`)."""
-    rho, lay = reduced_density(s, pair)
-    return partial_transpose(rho, lay, PT_FACTOR[pair])
 
 
 def evaluate_point(field: str, state: str, p1, p2, quantities=QUANTITIES,
                    trunc: Truncation | None = None) -> dict[str, NegativityResult]:
     """Numeric negativity of each named quantity at one parameter point.
 
-    Builds rho(A, I, I') once, whatever the quantities.  Bosonic
-    results carry the trace deficit of the matrix diagonalized as their
+    The only route from a point to a quantity's spectrum.  Builds
+    rho(A, I, I') once, whatever the quantities.  Bosonic results carry
+    the state's discarded Fock weight (:func:`states._tail`) as their
     tail bound; fermionic ones carry zero.
     """
     for q in quantities:
         if q not in QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; expected one of {QUANTITIES}")
-    rho, lay = traced_density(state, field, *_checked(field, state, p1, p2, trunc))
+    state, p1, p2, trunc = _checked(field, state, p1, p2, trunc)
+    _check_ceiling(field, trunc)
+    rho, lay = traced_density(state, field, p1, p2, trunc)
+    tail = _tail(state, p1, p2, trunc.n_max) if field == "boson" else 0.0
     out = {}
     for q in quantities:
         m, m_lay = (rho, lay) if q in TRIPARTITE else partial_trace(rho, lay, DROP_FOR_PAIR[q])
         eigs = hermitian_eigenvalues(partial_transpose(m, m_lay, PT_FACTOR[q]))
         res = from_spectrum(eigs, clamp=EIG_CLAMP_SCALE * m.shape[0])
-        if field == "boson":
-            res = dataclasses.replace(res, tail_bound=max(1.0 - float(np.trace(m).real), 0.0))
-        out[q] = res
+        out[q] = dataclasses.replace(res, tail_bound=tail) if field == "boson" else res
     return out

@@ -119,9 +119,9 @@ class Truncation:
     @classmethod
     def of(cls, x) -> "Truncation":
         """``x`` as a truncation: None is the default, an integer its n_max."""
-        if isinstance(x, Truncation):
-            return x
-        return cls() if x is None else cls(n_max=x)
+        if x is None:
+            return _DEFAULT_TRUNCATION
+        return x if isinstance(x, Truncation) else cls(n_max=x)
 
 
 def _whole(name: str, n, low: int) -> int:
@@ -129,6 +129,11 @@ def _whole(name: str, n, low: int) -> int:
     if not isinstance(n, numbers.Integral) or n < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
     return int(n)
+
+
+#: Shared by every ``Truncation.of(None)``: frozen, and a fresh one costs
+#: about as much as the rest of a point's checks.
+_DEFAULT_TRUNCATION = Truncation()
 
 
 def accel_to_param(p: PhysicalAccel, stats: str) -> AccelParam:
@@ -166,9 +171,9 @@ def _mode(occupation: int, p: AccelParam, n_max: int) -> np.ndarray:
     c = (cos u, sin u) and the particle c = (1, 0).  Bosons have
     d = n_max + 2, so the particle's edge term |n_max + 1, n_max> stays
     representable, and are cut after n = n_max: c_n = tanh^n r sech r and
-    sqrt(n+1) tanh^n r sech^2 r, then 0.  At large r sech r is formed from
-    e^-r, so it underflows to 0 instead of overflowing; the lost weight then
-    shows as the trace deficit.
+    sqrt(n+1) tanh^n r sech^2 r, then 0 (:func:`_mode_tail` is the weight
+    cut).  At large r sech r is formed from e^-r, so it underflows to 0
+    instead of overflowing.
     """
     if occupation not in (0, 1):
         raise ValueError(f"occupation must be 0 or 1, got {occupation!r}")
@@ -180,6 +185,35 @@ def _mode(occupation: int, p: AccelParam, n_max: int) -> np.ndarray:
     pref = 1.0 / math.cosh(r) ** k if r < 350.0 else (2.0 * math.exp(-r)) ** k
     t = math.tanh(r)
     return np.array([pref * t**n * math.sqrt(n + 1) ** occupation for n in range(n_max + 1)] + [0.0])
+
+
+def _mode_tail(occupation: int, p: AccelParam, n_max: int) -> float:
+    """Squared weight :func:`_mode` cuts from a bosonic mode: the sum of c_n^2 over n > n_max.
+
+    With t = tanh^2 r and M = n_max that is t^(M+1) for the vacuum and
+    t^(M+1) ((M+2) - (M+1) t) for the particle.  Both are formed from the
+    tail itself, never as 1 minus the kept weight, so a tail far below
+    the float epsilon keeps its relative precision.
+    """
+    t = math.tanh(p.value)
+    t *= t
+    x = t ** (n_max + 1)
+    return x if occupation == 0 else x * ((n_max + 2) - (n_max + 1) * t)
+
+
+def _tail(state: str, param1: AccelParam, param2: AccelParam, n_max: int) -> float:
+    """Discarded Fock weight of a truncated bosonic state, the trace rho(A, I, I') lacks.
+
+    A branch keeps (1 - a)(1 - b) of its weight, with a and b the
+    :func:`_mode_tail` of Rob's and Steven's modes, so it drops a + b - ab;
+    the branches of :data:`_BRANCHES` weigh equally.
+    """
+    rows = _BRANCHES[state]
+    lost = 0.0
+    for _, rob, steven in rows:
+        a, b = _mode_tail(rob, param1, n_max), _mode_tail(steven, param2, n_max)
+        lost += a + b - a * b
+    return lost / len(rows)
 
 
 def _ladder(occupation: int, c: np.ndarray) -> np.ndarray:
@@ -207,17 +241,12 @@ def boson_mode_expansion(occupation: int, r: AccelParam, cutoff) -> tuple[Ket, f
     Both wedge factors get dimension cutoff+2 so the edge term of the
     one-particle branch stays representable; a cutoff of 0 is allowed.
     The ket is not renormalized; the returned tail is the discarded
-    squared weight, which for the geometric sums above has the closed
-    forms t^(cutoff+1) and (cutoff+2) t^(cutoff+1) - (cutoff+1) t^(cutoff+2)
-    with t = tanh^2 r.
+    squared weight in closed form (see :func:`_mode_tail`).
     """
     r = AccelParam.of("boson", r)
     n_max = cutoff.n_max if isinstance(cutoff, Truncation) else _whole("cutoff", cutoff, 0)
     amps = _ladder(occupation, _mode(occupation, r, n_max))
-    t = math.tanh(r.value)
-    tsq, m = t * t, n_max + 1
-    tail = tsq**m if occupation == 0 else (m + 1) * tsq**m - m * tsq ** (m + 1)
-    return Ket(SubsystemLayout.of(("I", n_max + 2), ("II", n_max + 2)), amps), tail
+    return Ket(SubsystemLayout.of(("I", n_max + 2), ("II", n_max + 2)), amps), _mode_tail(occupation, r, n_max)
 
 
 def _modes(stats: str, param1: AccelParam, param2: AccelParam, cutoff) -> np.ndarray:

@@ -1,12 +1,25 @@
 """Analytic Pauli-basis forms of the fermionic density matrices.
 
 Transcriptions of the closed-form decompositions that the wedge-traced
-GHZ/W pipeline must reproduce elementwise; used as fixtures only.
+GHZ/W pipeline must reproduce elementwise; used as fixtures only.  The
+Pauli matrices and the complex Kronecker product they are written in are
+defined here too.
 """
 
 import math
 
-from unruhsim.linalg import IDENTITY_2 as I2, PAULI_X as SX, PAULI_Y as SY, PAULI_Z as SZ, kron
+import numpy as np
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+I2, SX, SY, SZ = IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z
+
+
+def kron(a, b):
+    """Complex Kronecker product with the left operand most significant."""
+    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def k3(a, b, c):

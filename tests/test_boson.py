@@ -15,7 +15,6 @@ from unruhsim.boson import (
     ghz_log_negativity_series,
     numeric_log_negativity,
     reduced_density,
-    rindler_density_truncated,
     rs_smallest_pt_eigenvalue,
     truncation_trace_deficit,
     w_ar_block_negativity,
@@ -23,6 +22,7 @@ from unruhsim.boson import (
     w_rs_block_negativity,
     w_rs_log_negativity_series,
 )
+from unruhsim.linalg import hermitian_eigenvalues
 from unruhsim.states import Truncation
 
 W_BASE = (1.0 - math.sqrt(5.0)) / 6.0
@@ -31,7 +31,8 @@ W_BASE = (1.0 - math.sqrt(5.0)) / 6.0
 def test_truncated_density_at_rest_is_pure():
     for state in ("ghz", "w"):
         s = BosonScenario(state, 0.0, 0.0, Truncation(n_max=3))
-        rho, lay = rindler_density_truncated(s, check_psd=True)
+        rho, lay = reduced_density(s)
+        assert hermitian_eigenvalues(rho)[0] >= -1e-10
         assert lay.labels == ("A", "I", "I'")
         assert rho.shape == (50, 50)
         assert abs(np.trace(rho).real - 1.0) < 1e-14
@@ -40,24 +41,24 @@ def test_truncated_density_at_rest_is_pure():
 
 def test_truncated_density_dimension_and_hermiticity():
     s = BosonScenario("ghz", 0.7, 0.4, Truncation(n_max=5))
-    rho, lay = rindler_density_truncated(s)
+    rho, lay = reduced_density(s)
     assert rho.shape == (2 * 7 * 7, 2 * 7 * 7)
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-14
 
 
 def test_trace_deficit_matches_closed_form():
     s = BosonScenario("ghz", 1.0, 1.0, Truncation(n_max=12))
-    rho, _ = rindler_density_truncated(s)
+    rho, _ = reduced_density(s)
     assert abs((1.0 - np.trace(rho).real) - truncation_trace_deficit(s)) < 1e-12
     sw = BosonScenario("w", 0.8, 1.3, Truncation(n_max=9))
-    rhow, _ = rindler_density_truncated(sw)
+    rhow, _ = reduced_density(sw)
     assert abs((1.0 - np.trace(rhow).real) - truncation_trace_deficit(sw)) < 1e-12
 
 
 def test_matrix_ceiling_reports_requirement():
     s = BosonScenario("ghz", 0.2, 0.2, Truncation(n_max=40))
     with pytest.raises(MatrixCeilingError, match="3528"):
-        rindler_density_truncated(s)
+        reduced_density(s)
 
 
 def test_ghz_block_values_at_rest():
@@ -202,7 +203,7 @@ def test_ghz_reductions_diagonal_and_disentangled():
 
 def test_w_tripartite_numeric_dimensions_and_inertial_value():
     s = BosonScenario("w", 0.0, 0.0, Truncation(n_max=1))
-    rho, _ = rindler_density_truncated(s)
+    rho, _ = reduced_density(s)
     assert rho.shape == (18, 18)
     res = numeric_log_negativity(s, "A-RS")
     assert abs(res.log_negativity - 0.9581441056060679) < 1e-10

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unruhsim
-from unruhsim import diagnostics, fermion, linalg, states
+from unruhsim import boson, diagnostics, fermion, linalg, states
 from unruhsim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, main
 from unruhsim.fermion import FermionScenario
 from unruhsim.measures import QUANTITIES
@@ -433,6 +433,21 @@ def test_zero_curve_boson_ar_constant(tmp_path):
     for row in data_rows(read(out)):
         _, r1 = row.split(",")
         assert abs(float(r1) - math.log(1 + math.sqrt(2))) < 1e-6
+
+
+@pytest.mark.parametrize("pair", ["AR", "AS"])
+def test_zero_curve_boson_ar_as_solved_once_per_curve(monkeypatch, tmp_path, pair):
+    """The AR/AS brackets ignore the axis value, so a curve of any length runs one scan and bisection."""
+    counts = []
+    for steps in (2, 9):
+        calls = count_calls(monkeypatch, boson.w_ar_crossing_function)
+        rc = run(["zero-curve", "--field", "boson", "--state", "w", "--pair", pair,
+                  "--axis", f"0:2:{steps}", "--out", str(tmp_path / "z.csv")])
+        monkeypatch.undo()
+        assert rc == EXIT_OK
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert 64 <= counts[0] <= 64 + 200
 
 
 def test_zero_curve_fermion_ar_has_no_zero(tmp_path):

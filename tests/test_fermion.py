@@ -12,7 +12,6 @@ from unruhsim.fermion import (
     ghz_closed_negativity,
     numeric_log_negativity,
     reduced_density,
-    rindler_density,
     rs_smallest_pt_eigenvalue,
     rs_zero_curve,
     w_bipartite_closed_negativity,
@@ -35,35 +34,35 @@ def test_scenario_coerces_and_validates():
 
 
 def test_ghz_density_matches_minkowski_form_at_rest():
-    rho, lay = rindler_density(FermionScenario("ghz", 0.0, 0.0))
+    rho, lay = reduced_density(FermionScenario("ghz", 0.0, 0.0))
     assert lay.labels == ("A", "I", "I'")
     assert np.max(np.abs(rho - pauli_forms.ghz_minkowski())) < 1e-14
     assert abs(np.trace(rho) - 1.0) < 1e-14
 
 
 def test_w_density_matches_minkowski_form_at_rest():
-    rho, _ = rindler_density(FermionScenario("w", 0.0, 0.0))
+    rho, _ = reduced_density(FermionScenario("w", 0.0, 0.0))
     assert np.max(np.abs(rho - pauli_forms.w_minkowski())) < 1e-14
 
 
 @pytest.mark.parametrize("u1", COARSE)
 @pytest.mark.parametrize("u2", COARSE)
 def test_ghz_density_matches_traced_form(u1, u2):
-    rho, _ = rindler_density(FermionScenario("ghz", u1, u2))
+    rho, _ = reduced_density(FermionScenario("ghz", u1, u2))
     assert np.max(np.abs(rho - pauli_forms.ghz_rindler(u1, u2))) < 1e-12
 
 
 @pytest.mark.parametrize("u1", COARSE)
 @pytest.mark.parametrize("u2", COARSE)
 def test_w_density_matches_traced_form(u1, u2):
-    rho, _ = rindler_density(FermionScenario("w", u1, u2))
+    rho, _ = reduced_density(FermionScenario("w", u1, u2))
     assert np.max(np.abs(rho - pauli_forms.w_rindler(u1, u2))) < 1e-12
 
 
 @pytest.mark.parametrize("target", ["A", "I", "I'"])
 def test_ghz_partial_transpose_matches_sign_flipped_form(target):
     u1, u2 = 0.31, 0.54
-    rho, lay = rindler_density(FermionScenario("ghz", u1, u2))
+    rho, lay = reduced_density(FermionScenario("ghz", u1, u2))
     pt = partial_transpose(rho, lay, target)
     assert np.max(np.abs(pt - pauli_forms.ghz_rindler_pt(target, u1, u2))) < 1e-12
 

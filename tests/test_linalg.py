@@ -5,20 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pauli_forms import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, kron
 from unruhsim import linalg
-from unruhsim.linalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    Ket,
-    SubsystemLayout,
-    hermitian_eigenvalues,
-    ket_partial_trace,
-    kron,
-    partial_trace,
-    partial_transpose,
-)
+from unruhsim.linalg import Ket, SubsystemLayout, hermitian_eigenvalues, ket_partial_trace, partial_trace, partial_transpose
 
 
 def random_hermitian(rng, dim):

@@ -85,6 +85,63 @@ def test_real_amplitudes_from_ket_to_eigensolve(monkeypatch, field, state, n_max
     assert seen == {name: {np.dtype(np.float64)} for name in names}
 
 
+def mode_tail_by_summation(occupation, r, n_max):
+    """Sum of the squared amplitudes past the cutoff, term by term: (1 - t) t^n
+    for the vacuum and (n + 1) (1 - t)^2 t^n for the particle, n > n_max."""
+    t = math.tanh(r) ** 2
+    terms = []
+    for n in range(n_max + 1, n_max + 5000):
+        term = (1.0 - t) * t**n if occupation == 0 else (n + 1) * (1.0 - t) ** 2 * t**n
+        terms.append(term)
+        if term < 1e-20 * terms[0]:
+            break
+    return math.fsum(terms)
+
+
+def state_tail_by_summation(state, r1, r2, n_max):
+    """Each branch keeps (1 - a)(1 - b) of its weight, so it drops a + b - ab."""
+    branches = {"ghz": ((0, 0), (1, 1)), "w": ((0, 0), (1, 0), (0, 1))}[state]
+    lost = []
+    for rob, steven in branches:
+        a, b = mode_tail_by_summation(rob, r1, n_max), mode_tail_by_summation(steven, r2, n_max)
+        lost.append(a + b - a * b)
+    return math.fsum(lost) / len(lost)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+@pytest.mark.parametrize("n_max", [1, 4, 14])
+@pytest.mark.parametrize("r1,r2", [(0.034181, 0.238659), (0.01, 0.02), (0.0, 0.3), (0.5, 0.7), (1.2, 0.9)])
+def test_tail_bound_is_the_discarded_weight(state, n_max, r1, r2):
+    """The bosonic tail bound is the weight past the cutoff to 1e-12 relative,
+    also where it lies far below the float epsilon and 1 - tr rho is roundoff."""
+    want = state_tail_by_summation(state, r1, r2, n_max)
+    results = evaluate_point("boson", state, r1, r2, QUANTITIES, Truncation(n_max=n_max))
+    for q, res in results.items():
+        assert abs(res.tail_bound - want) <= 1e-12 * want, (q, res.tail_bound, want)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--state", "ghz", "--quantity", "S-AR", "--nmax", "14", "--r1", "0.034181", "--r2", "0.238659"],
+        ["--state", "ghz", "--quantity", "A-RS", "--nmax", "14", "--r1", "0.01", "--r2", "0.02"],
+    ],
+    ids=["ghz-S-AR", "ghz-A-RS"],
+)
+def test_point_prints_the_discarded_weight(capsys, argv):
+    assert main(["point", "--field", "boson"] + argv) == 0
+    printed = float(dict(line.split(": ") for line in capsys.readouterr().out.splitlines())["tail-bound"])
+    want = state_tail_by_summation("ghz", float(argv[-3]), float(argv[-1]), 14)
+    assert want < 1e-18
+    assert abs(printed - want) <= 1e-8 * want
+
+
+def test_scenario_and_evaluate_point_fold_state_case_alike():
+    assert pipeline.Scenario("fermion", "GHZ", 0.1, 0.2).state == "ghz"
+    assert evaluate_point("fermion", "GHZ", 0.1, 0.2) == evaluate_point("fermion", "ghz", 0.1, 0.2)
+    assert evaluate_point("boson", "W", 0.1, 0.2, ("RS",), 2) == evaluate_point("boson", "w", 0.1, 0.2, ("RS",), 2)
+
+
 def test_evaluate_point_rejects_unknown_names():
     with pytest.raises(ValueError, match="quantity"):
         evaluate_point("fermion", "w", 0.1, 0.2, ("A-RS", "XY"))
