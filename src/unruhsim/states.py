@@ -119,9 +119,9 @@ class Truncation:
     @classmethod
     def of(cls, x) -> "Truncation":
         """``x`` as a truncation: None is the default, an integer its n_max."""
-        if x is None:
-            return _DEFAULT_TRUNCATION
-        return x if isinstance(x, Truncation) else cls(n_max=x)
+        if isinstance(x, Truncation):
+            return x
+        return cls() if x is None else cls(n_max=x)
 
 
 def _whole(name: str, n, low: int) -> int:
@@ -129,11 +129,6 @@ def _whole(name: str, n, low: int) -> int:
     if not isinstance(n, numbers.Integral) or n < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {n!r}")
     return int(n)
-
-
-#: Shared by every ``Truncation.of(None)``: frozen, and a fresh one costs
-#: about as much as the rest of a point's checks.
-_DEFAULT_TRUNCATION = Truncation()
 
 
 def accel_to_param(p: PhysicalAccel, stats: str) -> AccelParam:

@@ -2,8 +2,9 @@
 
 ``tests/golden/readme-N.stdout`` holds what the N-th ``unruhsim`` command
 of the README's CLI block prints, and ``readme-N-<name>`` the file it
-writes to ``--out <name>``.  Both were recorded before the numeric route
-was last reworked, so any change in the printed values fails here.
+writes to ``--out <name>``: the examples' expected bytes.  A change
+that means to alter their output re-records these files and says so in
+CHANGES.md.
 """
 
 import shlex
