@@ -16,10 +16,10 @@ import math
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues, partial_transpose
 from .measures import NegativityResult, TRIPARTITE, from_block_sum
-from .pipeline import MATRIX_DIM_CEILING, MatrixCeilingError, Scenario, evaluate_point, reduced_density
-from .states import AccelParam, Truncation, _tail
+from .pipeline import (MATRIX_DIM_CEILING, MatrixCeilingError, Scenario, _block_plan, _branch_amplitudes,
+                       _check_ceiling, _plan_spectra, evaluate_point, reduced_density)
+from .states import AccelParam, Truncation, _mode, _tail
 
 __all__ = [
     "AR_ZERO",
@@ -238,21 +238,30 @@ def w_ar_crossing_function(r1, n_terms: int = 64) -> float:
     return float(np.sum(w * _w_ar_brackets(n, r)))
 
 
-def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float:
-    """Smallest eigenvalue of the partially transposed W RS reduction.
+def rs_smallest_pt_eigenvalue(r1, r2, trunc: Truncation | None = None) -> float | np.ndarray:
+    """Smallest eigenvalue of the partially transposed W RS reduction, at
+    one r2 (a float back) or at each of a sequence of them (an array back).
 
     Restricted to the Fock indices whose matrix entries are complete at
     this truncation; the edge row left half-filled by the cutoff would
     otherwise contribute an artificial negative eigenvalue that never
     crosses zero.  The restriction is a principal submatrix of the exact
     untruncated partial transpose, so its smallest eigenvalue crosses
-    zero where the residual RS entanglement actually dies.
+    zero where the residual RS entanglement actually dies.  Every sample
+    fills the blocks of one cached :func:`pipeline._block_plan` in a
+    single bincount, and each block size is one stacked ``eigvalsh``.
     """
-    s = BosonScenario("w", r1, r2, trunc)
-    pt = partial_transpose(*reduced_density(s, "RS"), "I")
-    n_max = s.trunc.n_max
-    keep = [i * (n_max + 2) + j for i in range(n_max + 1) for j in range(n_max + 1)]
-    return float(hermitian_eigenvalues(pt[np.ix_(keep, keep)])[0])
+    trunc = Truncation.of(trunc)
+    _check_ceiling("boson", trunc)
+    n_max = trunc.n_max
+    p1 = AccelParam.of("boson", r1)
+    rob = np.array([_mode(occ, p1, n_max) for occ in (0, 1)])
+    scalar = np.ndim(r2) == 0
+    params = [AccelParam.of("boson", x) for x in ([r2] if scalar else r2)]
+    steven = np.array([_mode(occ, p, n_max) for p in params for occ in (0, 1)]).reshape(len(params), 2, -1)
+    plan = _block_plan("w", "RS", n_max + 2, complete=True)
+    smallest = _plan_spectra(plan, _branch_amplitudes("w", rob, steven))[:, 0]
+    return float(smallest[0]) if scalar else smallest
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,12 @@ EXIT_NUMERIC = 3
 BOSON_SCAN_MAX = 3.0
 
 _ZERO_SCAN_POINTS = 64
+#: Interior points of the bracket that each round of the bosonic RS root
+#: search evaluates as one batch: 15 rounds take it from a scan step to 1e-14.
+_ZERO_SPLIT_POINTS = 7
 _ZERO_VALUE_TOL = 1e-10
+#: Bracket width at which the root search stops.
+_ZERO_BRACKET = 1e-14
 
 
 class UsageError(ValueError):
@@ -212,32 +217,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _scan_and_bisect(f, lo: float, hi: float, floor: float = _ZERO_VALUE_TOL) -> float | None:
-    """Find where f exits genuine negativity, by scan plus bisection.
+def _scan_and_bisect(f, lo: float, hi: float, split: int = 1, floor: float = _ZERO_VALUE_TOL) -> float | None:
+    """Find where f exits genuine negativity (f < -floor), by scan plus sign bisection.
 
-    Scans for the last sample with f < -floor; returns None when no
-    sample is genuinely negative (nothing to disentangle) or when the
-    negativity survives to the end of the range.  Otherwise bisects the
-    exit point, stopping once |f| < floor or the bracket collapses.
+    ``f`` maps a list of points to their values, one batch per call.
+    Scans _ZERO_SCAN_POINTS samples for the last one genuinely negative;
+    returns None when no sample is (nothing to disentangle) or when the
+    negativity survives to the end of the range.  Otherwise each round
+    splits the bracket after that sample at ``split`` interior points and
+    keeps the last genuinely negative point and the one after it, until the
+    bracket is under _ZERO_BRACKET; the root is its midpoint.  Only the
+    sign decides: past the crossing f may be exactly 0.
     """
     xs = _linspace(lo, hi, _ZERO_SCAN_POINTS)
-    vals = [f(x) for x in xs]
-    last_neg = None
-    for i, v in enumerate(vals):
-        if v < -floor:
-            last_neg = i
-    if last_neg is None or last_neg == len(xs) - 1:
+    neg = [i for i, v in enumerate(f(xs)) if v < -floor]
+    if not neg or neg[-1] == len(xs) - 1:
         return None
-    a, b = xs[last_neg], xs[last_neg + 1]
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        f_mid = f(mid)
-        if abs(f_mid) < floor or (b - a) < 1e-14:
-            return mid
-        if f_mid < -floor:
-            a = mid
-        else:
-            b = mid
+    a, b = xs[neg[-1]], xs[neg[-1] + 1]
+    while b - a >= _ZERO_BRACKET:
+        points = [a] + [a + (b - a) * k / (split + 1) for k in range(1, split + 1)] + [b]
+        last = max((k for k, v in enumerate(f(points[1:-1]), 1) if v < -floor), default=0)
+        a, b = points[last], points[last + 1]
     return 0.5 * (a + b)
 
 
@@ -262,17 +262,19 @@ def _zero_curve_solver(field: str, state: str, pair: str, trunc: Truncation):
                 u1, u2 = (x, axis_value) if pair == "AR" else (axis_value, x)
                 return evaluate_point("fermion", state, u1, u2, (pair,))[pair].spectrum[0]
 
-            return _scan_and_bisect(smallest, 0.0, U_MAX)
+            return _scan_and_bisect(lambda xs: [smallest(x) for x in xs], 0.0, U_MAX)
 
     elif pair == "RS":
         def root_at(axis_value: float) -> float | None:
-            return _scan_and_bisect(lambda x: boson.rs_smallest_pt_eigenvalue(axis_value, x, trunc), 0.0, BOSON_SCAN_MAX)
+            return _scan_and_bisect(lambda xs: boson.rs_smallest_pt_eigenvalue(axis_value, xs, trunc),
+                                    0.0, BOSON_SCAN_MAX, _ZERO_SPLIT_POINTS)
 
     else:
         # the AR/AS brackets do not depend on the axis value: one root serves every row
         @functools.cache
         def root() -> float | None:
-            return _scan_and_bisect(lambda x: boson.w_ar_crossing_function(x, n_terms=trunc.n_max + 1), 0.0, BOSON_SCAN_MAX)
+            return _scan_and_bisect(lambda xs: [boson.w_ar_crossing_function(x, n_terms=trunc.n_max + 1) for x in xs],
+                                    0.0, BOSON_SCAN_MAX)
 
         def root_at(axis_value: float) -> float | None:
             return root()

@@ -181,16 +181,20 @@ DENSE_EIG_MAX_DIM = 72
 
 
 def _components(m: np.ndarray) -> np.ndarray:
-    """Connected-component label of each index of ``m``'s nonzero pattern.
+    """Connected-component label of each index of ``m``'s nonzero pattern (see :func:`_edge_components`)."""
+    n = m.shape[0]
+    # flatnonzero plus divmod is several times faster than a 2-D nonzero
+    return _edge_components(*np.divmod(np.flatnonzero(m != 0), n), n)
+
+
+def _edge_components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Connected-component label of each of ``n`` indices under the edges ``(rows[k], cols[k])``.
 
     Label propagation over the edge list: every edge pulls both ends to the
     smaller label, then labels jump to their label's label, until nothing
     changes.  Each component ends labelled by its smallest index; an index
-    with an all-zero row and column is its own component.
+    on no edge is its own component.
     """
-    n = m.shape[0]
-    # flatnonzero plus divmod is several times faster than a 2-D nonzero
-    rows, cols = np.divmod(np.flatnonzero(m != 0), n)
     labels = np.arange(n)
     while True:
         low = np.minimum(labels[rows], labels[cols])
@@ -208,6 +212,22 @@ def _check_hermitian(asym: float, tol: float):
         raise ValueError(f"matrix is not Hermitian within {tol:g}: max asymmetry {asym:.3e}")
 
 
+def _blocks(labels: np.ndarray) -> list[np.ndarray]:
+    """The indices of each component of ``labels``, as one ``(blocks, size)``
+    array per block size, ascending, each block in ascending index order."""
+    n = labels.size
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    size_of = sizes[comp]
+    perm = np.argsort(size_of * n + comp, kind="stable")
+    size_of = size_of[perm]
+    out = []
+    start = 0
+    for size, count in zip(*np.unique(size_of, return_counts=True)):
+        out.append(perm[start:start + count].reshape(-1, size))
+        start += count
+    return out
+
+
 def _block_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, one stacked solve per block size.
 
@@ -217,17 +237,7 @@ def _block_eigenvalues(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     ``|B - B^dagger|`` over the gathered blocks, size-1 blocks included, is
     that of the whole matrix; above ``tol`` it is a ValueError.
     """
-    n = m.shape[0]
-    _, comp, sizes = np.unique(_components(m), return_inverse=True, return_counts=True)
-    size_of = sizes[comp]
-    perm = np.argsort(size_of * n + comp, kind="stable")
-    size_of = size_of[perm]
-    stacks = []
-    start = 0
-    for size, count in zip(*np.unique(size_of, return_counts=True)):
-        idx = perm[start:start + count].reshape(-1, size)
-        start += count
-        stacks.append(m[idx[:, :, None], idx[:, None, :]])
+    stacks = [m[idx[:, :, None], idx[:, None, :]] for idx in _blocks(_components(m))]
     asym = np.concatenate([(b - b.conj().swapaxes(1, 2)).ravel() for b in stacks])
     _check_hermitian(float(np.max(np.abs(asym))), tol)
     parts = [b[:, 0, 0].real if b.shape[1] == 1 else np.linalg.eigvalsh(b).ravel() for b in stacks]

@@ -15,11 +15,14 @@ fields.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, SubsystemLayout, hermitian_eigenvalues, partial_trace, partial_transpose
+from .linalg import (Ket, SubsystemLayout, _blocks, _check_hermitian, _edge_components, hermitian_eigenvalues,
+                     partial_trace, partial_transpose)
 from .measures import BIPARTITE, NegativityResult, QUANTITIES, TRIPARTITE, from_spectrum
 from .states import _BRANCHES, AccelParam, Truncation, _tail, build_ghz, build_w, traced_density
 
@@ -68,6 +71,121 @@ def _check_ceiling(field: str, trunc: Truncation):
             f"n_max={trunc.n_max} needs matrix dimension {dim}, above the ceiling "
             f"{MATRIX_DIM_CEILING}; raise unruhsim.pipeline.MATRIX_DIM_CEILING to at least {dim} to proceed"
         )
+
+
+_FACTORS = ("A", "I", "I'")
+
+
+@dataclass(frozen=True)
+class _BlockPlan:
+    """Where each branch-pair product of one quantity lands in the block
+    stacks of its partial transpose.
+
+    The k-th product the quantity keeps is w[left[k]] w[right[k]], with w
+    the amplitudes of :func:`_branch_amplitudes`, and ``slot[k]`` is its flat
+    position in the stacks laid end to end; ``shapes`` holds each stack's
+    (blocks, size), block size ascending.  ``mirror`` maps each stack
+    position to its transpose's.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    slot: np.ndarray
+    mirror: np.ndarray
+    shapes: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache(maxsize=32)
+def _block_plan(state: str, quantity: str, d: int, complete: bool = False) -> _BlockPlan:
+    """The cached, read-only :class:`_BlockPlan` of a bosonic ``quantity`` at wedge dimension ``d``.
+
+    Product (b, b', n, m) is w_b w_b' at hidden pair (n, m); it sits at
+    (x_b, x_b') of rho(A, I, I') (see :func:`states._pair_index`).  The
+    pair reductions keep the products whose :data:`DROP_FOR_PAIR` coordinate
+    agrees, and the partial transpose swaps the :data:`PT_FACTOR` coordinate
+    between row and column.  The hidden indices run over 0..d-2 only: index
+    d-1 is the zero that pads every bosonic :func:`states._mode` vector, and
+    kept as an exact 0.0 on the edge it would join blocks.  With ``complete``
+    the matrix is the principal submatrix on the Fock indices 0..d-2 of each
+    wedge, the entries the cutoff leaves complete.  The blocks are the
+    connected components of the products' (row, column) pairs; a matrix
+    index that no product reaches is a block of its own, holding 0.
+    """
+    rows = _BRANCHES[state]
+    n = np.arange(d - 1)
+    # (A, I, I') coordinates of x_b, shape (branch, n, m, 3)
+    x = np.array([np.stack(np.broadcast_arrays(alice, n[:, None] + rob, n + steven), -1)
+                  for alice, rob, steven in rows])
+    shape = (len(rows),) + x.shape
+    row = np.broadcast_to(x[:, None], shape).reshape(-1, 3)
+    col = np.broadcast_to(x[None, :], shape).reshape(-1, 3)
+    axes = [0, 1, 2]
+    keep = np.ones(len(row), dtype=bool)
+    if quantity in DROP_FOR_PAIR:
+        k = _FACTORS.index(DROP_FOR_PAIR[quantity])
+        keep = row[:, k] == col[:, k]
+        axes.remove(k)
+    swap = np.arange(3) == _FACTORS.index(PT_FACTOR[quantity])
+    row, col = np.where(swap, col, row), np.where(swap, row, col)
+    dims = [2 if a == 0 else d - 1 if complete else d for a in axes]
+    row, col = row[:, axes], col[:, axes]
+    keep &= np.all((row < dims) & (col < dims), axis=1)
+    kept = np.flatnonzero(keep)
+    i = np.ravel_multi_index(row[kept].T, dims)
+    j = np.ravel_multi_index(col[kept].T, dims)
+    dim = math.prod(dims)
+    base, pos, width_of = (np.zeros(dim, dtype=np.intp) for _ in range(3))
+    shapes, mirror = [], []
+    size = 0
+    for idx in _blocks(_edge_components(i, j, dim)):
+        count, width = idx.shape
+        base[idx] = size + width * width * np.arange(count)[:, None]
+        pos[idx] = np.arange(width)
+        width_of[idx] = width
+        shapes.append((count, width))
+        mirror.append(size + np.arange(count * width * width).reshape(count, width, width).swapaxes(1, 2).ravel())
+        size += count * width * width
+    b, b2, nm = np.unravel_index(kept, (len(rows), len(rows), (d - 1) ** 2))
+    plan = _BlockPlan(b * (d - 1) ** 2 + nm, b2 * (d - 1) ** 2 + nm, base[i] + pos[i] * width_of[i] + pos[j],
+                      np.concatenate(mirror), tuple(shapes))
+    for a in (plan.left, plan.right, plan.slot, plan.mirror):
+        a.flags.writeable = False
+    return plan
+
+
+def _branch_amplitudes(state: str, rob: np.ndarray, steven: np.ndarray) -> np.ndarray:
+    """Amplitudes w_b = c_n c'_m / sqrt(row count) in the flat (b, n, m)
+    layout of :func:`_block_plan`, one row per sample.
+
+    ``rob`` and ``steven`` are ``[..., occupation, n]`` amplitudes of the two
+    modes (see :func:`states._mode`), broadcast against each other over the
+    leading sample axes; the padded index d-1 is left out.
+    """
+    rows = _BRANCHES[state]
+    _, rob_occ, steven_occ = zip(*rows)
+    w = rob[..., rob_occ, :-1, None] * steven[..., steven_occ, None, :-1] * (1.0 / math.sqrt(len(rows)))
+    return w.reshape(*w.shape[:-3], -1)
+
+
+def _plan_spectra(plan: _BlockPlan, w: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Ascending partial-transpose spectrum of each row of amplitudes ``w``.
+
+    One bincount with a sample axis fills every block, then one stacked
+    ``eigvalsh`` runs per block size.  Above ``tol``, the largest
+    ``|B - B^T|`` over the stacks is a ValueError, as in
+    :func:`linalg.hermitian_eigenvalues`.
+    """
+    count, size = len(w), len(plan.mirror)
+    index = (np.arange(count)[:, None] * size + plan.slot).ravel()
+    products = (w[:, plan.left] * w[:, plan.right]).ravel()
+    flat = np.bincount(index, products, minlength=count * size).reshape(count, size)
+    _check_hermitian(float(np.max(np.abs(flat - flat[:, plan.mirror]))), tol)
+    parts, start = [], 0
+    for blocks, width in plan.shapes:
+        b = flat[:, start:start + blocks * width * width].reshape(count, blocks, width, width)
+        parts.append(b[:, :, 0, 0] if width == 1 else np.linalg.eigvalsh(b).reshape(count, -1))
+        start += blocks * width * width
+    return np.sort(np.concatenate(parts, axis=1), axis=1)
 
 
 def _checked(field: str, state: str, p1, p2, trunc) -> tuple[str, AccelParam, AccelParam, Truncation]:

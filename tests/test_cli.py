@@ -1,6 +1,7 @@
 """Command-line interface: flags, formats, determinism, exit codes."""
 
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -11,12 +12,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import unruhsim
-from unruhsim import boson, diagnostics, fermion, linalg, states
+from unruhsim import boson, cli, diagnostics, fermion, linalg, pipeline, states
 from unruhsim.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _fmt, main
 from unruhsim.fermion import FermionScenario
 from unruhsim.measures import QUANTITIES
@@ -448,6 +450,84 @@ def test_zero_curve_boson_ar_as_solved_once_per_curve(monkeypatch, tmp_path, pai
         counts.append(len(calls))
     assert counts[0] == counts[1]
     assert 64 <= counts[0] <= 64 + 200
+
+
+def dense_rs_smallest(r1, r2, n_max):
+    """Smallest eigenvalue of the RS partial transpose's principal submatrix on
+    the Fock indices 0..n_max, by the dense route: reduced density, partial
+    transpose, eigensolve."""
+    rho, lay = pipeline.reduced_density(boson.BosonScenario("w", r1, r2, n_max), "RS")
+    k = np.arange(n_max + 1)
+    keep = (k[:, None] * (n_max + 2) + k[None, :]).ravel()
+    return float(linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, lay, "I")[np.ix_(keep, keep)])[0])
+
+
+def serial_sign_root(f, lo, hi):
+    """Scan 64 samples for the last with f < -1e-10, then bisect on that sign until the bracket is under 1e-14."""
+    xs = [lo + i * (hi - lo) / 63 for i in range(64)]
+    xs[-1] = hi
+    neg = [i for i, x in enumerate(xs) if f(x) < -1e-10]
+    if not neg or neg[-1] == 63:
+        return None
+    a, b = xs[neg[-1]], xs[neg[-1] + 1]
+    while b - a >= 1e-14:
+        mid = 0.5 * (a + b)
+        if f(mid) < -1e-10:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("nmax", ["8", "12"])
+def test_zero_curve_boson_rs_at_rest_is_ar_zero(tmp_path, nmax):
+    """With Rob inertial the RS entanglement dies at sinh(r2) = 1; from r1 = 1 nothing is left to remove."""
+    out = tmp_path / "z.csv"
+    rc = run(["zero-curve", "--field", "boson", "--state", "w", "--pair", "RS", "--nmax", nmax,
+              "--axis", "0:1:2", "--out", str(out)])
+    assert rc == EXIT_OK
+    (p0, root), last = [row.split(",") for row in data_rows(read(out))]
+    assert p0 == "0" and abs(float(root) - math.asinh(1.0)) < 1e-8
+    assert last == ["1", "none"]
+
+
+def test_zero_curve_boson_rs_roots_bound_the_entangled_region(tmp_path):
+    """No root sits on the plateau where the smallest eigenvalue is exactly 0,
+    and each bounds the negative region at the scan step, on the dense route."""
+    out = tmp_path / "z.csv"
+    rc = run(["zero-curve", "--field", "boson", "--state", "w", "--pair", "RS", "--axis", "0:2:9", "--out", str(out)])
+    assert rc == EXIT_OK
+    text = read(out)
+    assert "0.892857143" not in text
+    step = cli.BOSON_SCAN_MAX / 63
+    roots = 0
+    for row in data_rows(text):
+        r1, root = row.split(",")
+        if root == "none":
+            continue
+        x, roots = float(root), roots + 1
+        f = functools.partial(dense_rs_smallest, float(r1), n_max=12)
+        assert f(x - step) < -1e-10 and f(x) >= -1e-9 and f(x + step) >= -1e-10, row
+    assert roots == 4
+
+
+@pytest.mark.parametrize("n_max,r1", [(8, 0.0), (8, 0.05), (8, 0.2), (12, 0.5), (12, 0.75), (12, 1.0)])
+def test_zero_curve_boson_rs_equals_serial_sign_bisection(n_max, r1):
+    """The batched search on the block plan finds the root a serial sign
+    bisection on the dense restricted route finds."""
+    root_at, _, _ = cli._zero_curve_solver("boson", "w", "RS", states.Truncation(n_max=n_max))
+    want = serial_sign_root(lambda x: dense_rs_smallest(r1, x, n_max), 0.0, cli.BOSON_SCAN_MAX)
+    got = root_at(r1)
+    assert (got is None) == (want is None) == (r1 == 1.0)
+    if want is not None:
+        assert abs(got - want) < 1e-12
+
+
+def test_zero_curve_boson_rs_ceiling_is_numeric_failure(capsys, tmp_path):
+    rc = run(["zero-curve", "--field", "boson", "--state", "w", "--pair", "RS", "--nmax", "15",
+              "--axis", "0:0.2:2", "--out", str(tmp_path / "z.csv")])
+    assert rc == EXIT_NUMERIC
+    assert "n_max=15 needs matrix dimension 578, above the ceiling 512" in capsys.readouterr().err
 
 
 def test_zero_curve_fermion_ar_has_no_zero(tmp_path):

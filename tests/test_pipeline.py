@@ -7,19 +7,22 @@ the branch table, takes pairs by partial trace of it and uses the block
 eigensolve.
 """
 
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unruhsim import pipeline
+from unruhsim import boson, linalg, pipeline
 from unruhsim.boson import BosonScenario, ghz_block_negativity, w_ar_log_negativity_series
 from unruhsim.cli import EXIT_USAGE, main
 from unruhsim.fermion import FermionScenario, ghz_closed_negativity, rs_zero_curve
 from unruhsim.measures import QUANTITIES, TRIPARTITE, from_spectrum
 from unruhsim.pipeline import DROP_FOR_PAIR, EIG_CLAMP_SCALE, HIDDEN_WEDGES, PT_FACTOR, evaluate_point, rindler_ket
-from unruhsim.states import U_MAX, Truncation
+from unruhsim.states import U_MAX, AccelParam, Truncation, _mode
 
 #: Squeezing values; fermions get the wedge angle of the same acceleration,
 #: tan u = tanh r.
@@ -83,6 +86,98 @@ def test_real_amplitudes_from_ket_to_eigensolve(monkeypatch, field, state, n_max
         monkeypatch.setattr(pipeline, name, spy(name))
     evaluate_point(field, state, 0.3, 0.6, QUANTITIES, trunc)
     assert seen == {name: {np.dtype(np.float64)} for name in names}
+
+
+def plan_spectra(state, quantity, n_max, points, complete=False):
+    """Spectra from the block plan, every point in one batch."""
+    modes = np.array([[[_mode(occ, AccelParam.of("boson", p), n_max) for occ in (0, 1)] for p in point]
+                      for point in points])
+    w = pipeline._branch_amplitudes(state, modes[:, 0], modes[:, 1])
+    return pipeline._plan_spectra(pipeline._block_plan(state, quantity, n_max + 2, complete), w)
+
+
+def dense_pt(state, quantity, n_max, r1, r2):
+    """The quantity's partial transpose on the dense route."""
+    s = pipeline.Scenario("boson", state, r1, r2, n_max)
+    m, lay = pipeline.reduced_density(s, None if quantity in TRIPARTITE else quantity)
+    return linalg.partial_transpose(m, lay, PT_FACTOR[quantity])
+
+
+def complete_indices(n_max):
+    """Indices of the RS matrix whose Fock indices are both at most n_max."""
+    k = np.arange(n_max + 1)
+    return (k[:, None] * (n_max + 2) + k[None, :]).ravel()
+
+
+PLAN_RADII = (0.0, 1e-300, 0.7, 3.0, 400.0)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+@pytest.mark.parametrize("n_max", [1, 4, 8, 12])
+def test_block_plan_matches_dense_route(state, n_max):
+    """Every bosonic quantity's plan gives the dense spectrum, and at a generic
+    point its blocks are the dense matrix's nonzero-pattern blocks."""
+    points = [(r1, r2) for r1 in PLAN_RADII for r2 in PLAN_RADII]
+    for q in QUANTITIES:
+        got = plan_spectra(state, q, n_max, points)
+        for (r1, r2), spectrum in zip(points, got):
+            want = linalg.hermitian_eigenvalues(dense_pt(state, q, n_max, r1, r2))
+            assert np.max(np.abs(spectrum - want)) < 1e-12, (state, q, n_max, r1, r2)
+        blocks = linalg._blocks(linalg._components(dense_pt(state, q, n_max, 0.7, 0.3)))
+        assert pipeline._block_plan(state, q, n_max + 2).shapes == tuple(idx.shape for idx in blocks)
+
+
+@pytest.mark.parametrize("n_max", [1, 4, 8, 12])
+def test_restricted_rs_plan_matches_principal_submatrix(n_max):
+    points = [(r1, r2) for r1 in (0.0, 0.05, 0.2, 0.7) for r2 in (0.0, 0.3, 0.88, 1.5, 3.0)]
+    got = plan_spectra("w", "RS", n_max, points, complete=True)
+    keep = complete_indices(n_max)
+    for (r1, r2), spectrum in zip(points, got):
+        want = linalg.hermitian_eigenvalues(dense_pt("w", "RS", n_max, r1, r2)[np.ix_(keep, keep)])
+        assert np.max(np.abs(spectrum - want)) < 1e-14, (n_max, r1, r2)
+    for r1 in (0.0, 0.2):
+        r2s = [r2 for p1, r2 in points if p1 == r1]
+        smallest = boson.rs_smallest_pt_eigenvalue(r1, r2s, n_max)
+        assert list(smallest) == [boson.rs_smallest_pt_eigenvalue(r1, r2, n_max) for r2 in r2s]
+        assert np.max(np.abs(smallest - got[[p1 == r1 for p1, _ in points], 0])) < 1e-14
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    state=st.sampled_from(["ghz", "w"]),
+    quantity=st.sampled_from(QUANTITIES),
+    n_max=st.integers(1, 12),
+    r1=st.floats(0.0, 5.0),
+    r2=st.floats(0.0, 5.0),
+)
+def test_block_plan_matches_dense_route_anywhere(state, quantity, n_max, r1, r2):
+    got = plan_spectra(state, quantity, n_max, [(r1, r2)])[0]
+    want = linalg.hermitian_eigenvalues(dense_pt(state, quantity, n_max, r1, r2))
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_block_plan_hermitian_check_rejects_planted_product():
+    """A product added to one off-diagonal slot but not to its mirror is a
+    ValueError naming the largest |B - B^T| over the stacks."""
+    plan = pipeline._block_plan("w", "RS", 10, complete=True)
+    w = pipeline._branch_amplitudes("w", np.array([_mode(occ, AccelParam.of("boson", 0.4), 8) for occ in (0, 1)]),
+                                    np.array([[_mode(occ, AccelParam.of("boson", 0.6), 8) for occ in (0, 1)]]))
+    k = int(np.flatnonzero(plan.slot != plan.mirror[plan.slot])[0])
+    planted = dataclasses.replace(plan, left=np.append(plan.left, plan.left[k]),
+                                  right=np.append(plan.right, plan.right[k]), slot=np.append(plan.slot, plan.slot[k]))
+    pipeline._plan_spectra(plan, w)
+    want = abs(w[0, plan.left[k]] * w[0, plan.right[k]])
+    assert want > 1e-3
+    with pytest.raises(ValueError, match=f"max asymmetry {want:.3e}"):
+        pipeline._plan_spectra(planted, w)
+
+
+def test_block_plan_is_cached_and_read_only():
+    plan = pipeline._block_plan("w", "A-RS", 14)
+    assert pipeline._block_plan("w", "A-RS", 14) is plan
+    for a in (plan.left, plan.right, plan.slot, plan.mirror):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def mode_tail_by_summation(occupation, r, n_max):
